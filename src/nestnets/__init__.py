@@ -18,7 +18,7 @@ from .coverability import (
     replay_nunet,
     replay_object_system,
 )
-from .dot import dot_nunet, dot_object_system, dot_witness
+from .dot import dot_nunet, dot_object_system
 from .multisets import EMPTY, Multiset
 from .nunet import NuMode, NuNet
 from .nunet import config as nu_config
@@ -96,7 +96,6 @@ __all__ = [
     "decode_config",
     "dot_nunet",
     "dot_object_system",
-    "dot_witness",
     "encode_config",
     "explore_nunet",
     "explore_object_system",

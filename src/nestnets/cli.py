@@ -12,6 +12,7 @@ import argparse
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 from .coverability import (
     DEFAULT_MAX_STATES,
@@ -21,11 +22,12 @@ from .coverability import (
     check_transfer,
     cover_nunet,
     cover_object_system,
+    explore_nunet,
+    explore_object_system,
 )
 from .dot import dot_nunet, dot_object_system
 from .multisets import Multiset
-from .nunet import NuNet, enabled_modes as nu_enabled_modes, fire as nu_fire, validate as nu_validate
-from .objectsystem import ObjectSystem, fire as os_fire
+from .nunet import NuNet, fire as nu_fire, validate as nu_validate
 from .petri import NotEnabledError
 from .reduction import encode_config, max_run_length, reduce_nunet
 from .textio import (
@@ -122,42 +124,57 @@ def _inline_or_file(arg: str) -> str:
     return _read(arg) if os.path.exists(arg) else arg
 
 
+def _nu_labels(net: NuNet, configuration: Multiset, actions):
+    for t, mode in actions:
+        occ = configuration.elements()
+        binds = " ".join(f"{x}=[{' '.join(str(k) for k in occ[i])}]" for x, i in mode.assignment)
+        yield t + (" " + binds if binds else ""), ""
+        configuration = nu_fire(net, configuration, t, mode)
+
+
+def _formats() -> dict[str, SimpleNamespace]:
+    """How simulate and cover read, run and print each file format: its name;
+    parse(text) -> (net, init, target); parse_state(text, net) -> state;
+    format_state(state) -> text; explore(net, state) -> ExploreResult of every
+    one-step successor; cover(net, initial, goal, args) -> CoverAnswer; and
+    labels(net, state, actions) -> (label, detail) per step, where simulate
+    prints only the label.
+
+    Built per call, so wrappers put on this module's globals
+    (benches/layertrace.py) see the calls."""
+    return {
+        "nupn": SimpleNamespace(
+            name="nupn", parse=parse_nunet, parse_state=parse_config, format_state=format_config,
+            explore=lambda net, state: explore_nunet(net, state, 1),
+            cover=lambda net, initial, goal, args: cover_nunet(
+                net, initial, goal, args.depth, args.max_states, exact=args.exact),
+            labels=_nu_labels,
+        ),
+        "eos": SimpleNamespace(
+            name="eos", parse=parse_object_system, parse_state=parse_marking, format_state=format_marking,
+            explore=lambda system, state: explore_object_system(system, state, 1),
+            cover=lambda system, initial, goal, args: cover_object_system(
+                system, initial, goal, args.depth, args.max_states),
+            labels=lambda system, marking, modes: (
+                (mode.event.name, f"  take {format_marking(mode.lam)}  put {format_marking(mode.rho)}")
+                for mode in modes),
+        ),
+    }
+
+
 def _load(path: str):
+    """The file's format, then its net, init and target."""
     text = _read(path)
-    kind = sniff_format(text)
-    if kind == "nupn":
-        net, init, target = parse_nunet(text)
-        return kind, net, init, target
-    system, init, target = parse_object_system(text)
-    return kind, system, init, target
+    fmt = _formats()[sniff_format(text)]
+    return (fmt, *fmt.parse(text))
 
 
-def _require_init(init: Multiset | None, override: str | None, kind: str, obj) -> Multiset:
+def _require_init(init: Multiset | None, override: str | None, parse_state, net) -> Multiset:
     if override is not None:
-        if kind == "nupn":
-            return parse_config(_inline_or_file(override), obj)
-        return parse_marking(_inline_or_file(override), obj)
+        return parse_state(_inline_or_file(override), net)
     if init is None:
         raise ValueError("no initial state: the file has no init line and --init was not given")
     return init
-
-
-def _nu_step_label(net: NuNet, configuration: Multiset, t: str, mode) -> str:
-    occ = configuration.elements()
-    binds = " ".join(f"{x}=[{' '.join(str(k) for k in occ[i])}]" for x, i in mode.assignment)
-    return t + (" " + binds if binds else "")
-
-
-def _print_cover(answer: CoverAnswer, step_labels, describe_state) -> int:
-    if answer.covered:
-        print(f"covered at depth {len(answer.witness)}")
-        for i, label in enumerate(step_labels(answer.witness), start=1):
-            print(f"  {i}. {label}")
-        print(f"state: {describe_state(answer.state)}")
-        return EXIT_OK
-    closed = " (state space exhausted)" if answer.exhausted else ""
-    print(f"not covered within depth {answer.depth}{closed}")
-    return EXIT_NOT_COVERED
 
 
 def _cmd_validate(args) -> int:
@@ -179,32 +196,19 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    kind, obj, init, _ = _load(args.file)
-    state = _require_init(init, None, kind, obj)
+    fmt, net, init, _ = _load(args.file)
+    state = _require_init(init, None, fmt.parse_state, net)
     rng = random.Random(args.seed)
-    if kind == "nupn":
-        net: NuNet = obj
-        print(f"0: {format_config(state)}")
-        for i in range(1, args.steps + 1):
-            actions = [(t, m) for t in net.transitions for m in nu_enabled_modes(net, state, t)]
-            if not actions:
-                print(f"deadlock after {i - 1} steps")
-                return EXIT_OK
-            t, mode = rng.choice(actions)
-            label = _nu_step_label(net, state, t, mode)
-            state = nu_fire(net, state, t, mode)
-            print(f"{i}: {label} -> {format_config(state)}")
-        return EXIT_OK
-    system: ObjectSystem = obj
-    print(f"0: {format_marking(state)}")
+    print(f"0: {fmt.format_state(state)}")
     for i in range(1, args.steps + 1):
-        modes = system.all_modes(state)
-        if not modes:
+        edges = fmt.explore(net, state).edges  # one per enabled step, canonically ordered
+        if not edges:
             print(f"deadlock after {i - 1} steps")
             return EXIT_OK
-        mode = rng.choice(modes)
-        state = os_fire(state, mode)
-        print(f"{i}: {mode.event.name} -> {format_marking(state)}")
+        _, action, nxt = rng.choice(edges)
+        label, _ = next(fmt.labels(net, state, [action]))
+        print(f"{i}: {label} -> {fmt.format_state(nxt)}")
+        state = nxt
     return EXIT_OK
 
 
@@ -220,37 +224,26 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    kind, obj, init, target = _load(args.file)
-    if kind == "nupn":
-        net: NuNet = obj
-        initial = _require_init(init, args.init, kind, net)
-        goal = parse_config(_inline_or_file(args.target), net)
-        answer = cover_nunet(net, initial, goal, args.depth, args.max_states, exact=args.exact)
-
-        def nu_labels(witness):
-            state = initial
-            for t, mode in witness:
-                yield _nu_step_label(net, state, t, mode)
-                state = nu_fire(net, state, t, mode)
-
-        return _print_cover(answer, nu_labels, format_config)
-    if args.exact:
+    fmt, net, init, _ = _load(args.file)
+    if args.exact and fmt.name != "nupn":
         raise ValueError("--exact only applies to name nets")
-    system: ObjectSystem = obj
-    initial = _require_init(init, args.init, kind, system)
-    goal = parse_marking(_inline_or_file(args.target), system)
-    answer = cover_object_system(system, initial, goal, args.depth, args.max_states)
-
-    def event_labels(witness):
-        for mode in witness:
-            yield f"{mode.event.name}  take {format_marking(mode.lam)}  put {format_marking(mode.rho)}"
-
-    return _print_cover(answer, event_labels, format_marking)
+    initial = _require_init(init, args.init, fmt.parse_state, net)
+    goal = fmt.parse_state(_inline_or_file(args.target), net)
+    answer = fmt.cover(net, initial, goal, args)
+    if not answer.covered:
+        closed = " (state space exhausted)" if answer.exhausted else ""
+        print(f"not covered within depth {answer.depth}{closed}")
+        return EXIT_NOT_COVERED
+    print(f"covered at depth {len(answer.witness)}")
+    for i, (label, detail) in enumerate(fmt.labels(net, initial, answer.witness), start=1):
+        print(f"  {i}. {label}{detail}")
+    print(f"state: {fmt.format_state(answer.state)}")
+    return EXIT_OK
 
 
 def _cmd_cover_transfer(args) -> int:
     net, init, target = parse_nunet(_read(args.file))
-    initial = _require_init(init, args.init, "nupn", net)
+    initial = _require_init(init, args.init, parse_config, net)
     goal = parse_config(_inline_or_file(args.target), net)
     report = check_transfer(net, initial, goal, args.depth, args.max_states)
     src, cmp = report.source, report.compiled
@@ -306,11 +299,8 @@ def _cmd_check_lemma(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    kind, obj, init, _ = _load(args.file)
-    if kind == "nupn":
-        _write(args.output, dot_nunet(obj))
-    else:
-        _write(args.output, dot_object_system(obj, init))
+    fmt, net, init, _ = _load(args.file)
+    _write(args.output, dot_nunet(net) if fmt.name == "nupn" else dot_object_system(net, init))
     return EXIT_OK
 
 

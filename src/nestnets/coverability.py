@@ -1,6 +1,11 @@
 """Bounded forward exploration, coverability queries, and the two
 correctness harnesses for the compiler.
 
+One BFS core, explore and cover serve both net kinds through a per-kind
+adapter: validate(state), successors(state), covers(state, target) and
+step(state, action).  Replaying a witness folds step over it.  The public
+*_nunet and *_object_system functions only pick the adapter.
+
 All searches are breadth first with canonical-form deduplication and two
 explicit resource bounds: a depth budget and a state cap.  Exceeding the
 state cap raises SearchLimitReached; running out of depth is an ordinary
@@ -12,7 +17,9 @@ declaration order), so repeated runs produce byte-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from functools import reduce
+from types import SimpleNamespace
+from typing import Any, Iterable
 
 from .multisets import Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
@@ -71,81 +78,116 @@ class CoverAnswer:
     exhausted: bool = False
 
 
-Successors = Callable[[Multiset], list[tuple[Any, Multiset]]]
-
-
 def _search(
+    kind: SimpleNamespace,
     initial: Multiset,
-    successors: Successors,
     depth: int,
     max_states: int,
-    predicate: Callable[[Multiset], bool] | None = None,
+    target: Multiset | None = None,
+    edges: list | None = None,
 ):
     """Shared BFS core: explores up to `depth` layers, optionally stopping
-    at the canonically first, shallowest state satisfying `predicate`."""
-    seen: dict[Multiset, int] = {initial: 0}
-    parents: dict[Multiset, tuple[Multiset, Any]] = {}
+    at the canonically first, shallowest state covering `target`, and
+    appending every edge to `edges` when given.  Returns the states, whether
+    the space closed, the depth reached, the covering state (or None), and
+    parents, which maps each state found to (parent, action) and the
+    initial state to None."""
+    parents: dict[Multiset, tuple[Multiset, Any] | None] = {initial: None}
     states: list[Multiset] = [initial]
-    edges: list[tuple[Multiset, Any, Multiset]] = []
-    if predicate is not None and predicate(initial):
-        return states, edges, False, 0, initial, parents
     frontier = [initial]
     d = 0
-    exhausted = False
-    while frontier and d < depth:
+    while True:
+        if target is not None:
+            for s in frontier:
+                if kind.covers(s, target):
+                    return states, False, d, s, parents
+        if d >= depth:
+            return states, False, d, None, parents
         layer: list[Multiset] = []
         for s in frontier:
-            for action, nxt in successors(s):
-                edges.append((s, action, nxt))
-                if nxt not in seen:
-                    if len(seen) >= max_states:
+            for action, nxt in kind.successors(s):
+                if edges is not None:
+                    edges.append((s, action, nxt))
+                if nxt not in parents:
+                    if len(parents) >= max_states:
                         raise SearchLimitReached("max_states", max_states)
-                    seen[nxt] = d + 1
                     parents[nxt] = (s, action)
                     layer.append(nxt)
+        if not layer:
+            return states, True, d, None, parents
         layer.sort(key=Multiset.sort_key)
         states.extend(layer)
         d += 1
-        if predicate is not None:
-            for s in layer:
-                if predicate(s):
-                    return states, edges, False, d, s, parents
         frontier = layer
-    if not frontier:
-        exhausted = True
-        d = max(seen.values())
-    return states, edges, exhausted, d, None, parents
 
 
-def _witness(parents: dict, state: Multiset) -> list:
-    path = []
-    while state in parents:
+def _explore(kind: SimpleNamespace, initial: Multiset, depth: int, max_states: int) -> ExploreResult:
+    kind.validate(initial)
+    edges: list[tuple[Multiset, Any, Multiset]] = []
+    states, exhausted, d, _, _ = _search(kind, initial, depth, max_states, edges=edges)
+    return ExploreResult(states, edges, exhausted, d)
+
+
+def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: int, max_states: int) -> CoverAnswer:
+    kind.validate(initial)
+    kind.validate(target)
+    _, exhausted, d, hit, parents = _search(kind, initial, depth, max_states, target)
+    if hit is None:
+        return CoverAnswer(False, None, None, d, exhausted)
+    witness = []
+    state = hit
+    while parents[state] is not None:
         state, action = parents[state]
-        path.append(action)
-    path.reverse()
-    return path
+        witness.append(action)
+    return CoverAnswer(True, witness[::-1], hit, d)
 
 
-# -- name nets ---------------------------------------------------------------
+# -- net kinds and their public searches ---------------------------------------
+#
+# A net kind is what the search core sees of a net: validate(state) raises if
+# a state does not fit the net; successors(state) lists (action, next state)
+# pairs in canonical order; covers(state, target) says whether a state
+# dominates a target; step(state, action) fires one action, raising if it is
+# not enabled.  The factories below look up nu_* and os_* in this module's
+# globals at each call, so wrappers put there (benches/layertrace.py) see
+# every call.
 
 
-def _nunet_successors(net: NuNet) -> Successors:
-    def successors(configuration: Multiset) -> list[tuple[Any, Multiset]]:
-        out = []
-        for t in net.transitions:
-            for mode in nu_enabled_modes(net, configuration, t):
-                out.append(((t, mode), nu_fire(net, configuration, t, mode)))
-        return out
+def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
+    """Configurations, (transition, NuMode) actions, embedding order (inclusion when exact)."""
+    return SimpleNamespace(
+        validate=lambda configuration: nu_config(net, configuration.elements()),  # arity check
+        successors=lambda configuration: [
+            ((t, mode), nu_fire(net, configuration, t, mode))
+            for t in net.transitions
+            for mode in nu_enabled_modes(net, configuration, t)
+        ],
+        covers=lambda configuration, target: nu_covers(configuration, target, exact=exact),
+        step=lambda configuration, action: nu_fire(net, configuration, *action),
+    )
 
-    return successors
+
+def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
+    """Markings, event-mode actions, token-wise domination."""
+
+    def step(marking: Multiset, mode: EventMode) -> Multiset:
+        # os_fire checks only that the consumed tokens are present.
+        if not system.enabled(marking, mode):
+            raise NotEnabledError(f"witness step {mode.event.name!r} is not enabled")
+        return os_fire(marking, mode)
+
+    return SimpleNamespace(
+        validate=system.validate_marking,
+        successors=lambda marking: [(mode, os_fire(marking, mode)) for mode in system.all_modes(marking)],
+        covers=lambda marking, target: os_covers(marking, target),
+        step=step,
+    )
 
 
 def explore_nunet(
     net: NuNet, initial: Multiset, depth: int, max_states: int = DEFAULT_MAX_STATES
 ) -> ExploreResult:
-    nu_config(net, initial.elements())  # arity check
-    states, edges, exhausted, d, _, _ = _search(initial, _nunet_successors(net), depth, max_states)
-    return ExploreResult(states, edges, exhausted, d)
+    return _explore(_name_net_kind(net), initial, depth, max_states)
 
 
 def cover_nunet(
@@ -156,41 +198,18 @@ def cover_nunet(
     max_states: int = DEFAULT_MAX_STATES,
     exact: bool = False,
 ) -> CoverAnswer:
-    nu_config(net, initial.elements())
-    nu_config(net, target.elements())
-    states, edges, exhausted, d, hit, parents = _search(
-        initial, _nunet_successors(net), depth, max_states,
-        predicate=lambda c: nu_covers(c, target, exact=exact),
-    )
-    if hit is None:
-        return CoverAnswer(False, None, None, d, exhausted)
-    return CoverAnswer(True, _witness(parents, hit), hit, d)
+    return _cover(_name_net_kind(net, exact), initial, target, depth, max_states)
 
 
 def replay_nunet(net: NuNet, initial: Multiset, witness: Iterable[tuple[str, NuMode]]) -> Multiset:
     """Fire a witness step by step; raises if any step is not enabled."""
-    current = initial
-    for t, mode in witness:
-        current = nu_fire(net, current, t, mode)
-    return current
-
-
-# -- object systems ------------------------------------------------------------
-
-
-def _system_successors(system: ObjectSystem) -> Successors:
-    def successors(marking: Multiset) -> list[tuple[Any, Multiset]]:
-        return [(mode, os_fire(marking, mode)) for mode in system.all_modes(marking)]
-
-    return successors
+    return reduce(_name_net_kind(net).step, witness, initial)
 
 
 def explore_object_system(
     system: ObjectSystem, initial: Multiset, depth: int, max_states: int = DEFAULT_MAX_STATES
 ) -> ExploreResult:
-    system.validate_marking(initial)
-    states, edges, exhausted, d, _, _ = _search(initial, _system_successors(system), depth, max_states)
-    return ExploreResult(states, edges, exhausted, d)
+    return _explore(_object_system_kind(system), initial, depth, max_states)
 
 
 def cover_object_system(
@@ -200,24 +219,11 @@ def cover_object_system(
     depth: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> CoverAnswer:
-    system.validate_marking(initial)
-    system.validate_marking(target)
-    states, edges, exhausted, d, hit, parents = _search(
-        initial, _system_successors(system), depth, max_states,
-        predicate=lambda m: os_covers(m, target),
-    )
-    if hit is None:
-        return CoverAnswer(False, None, None, d, exhausted)
-    return CoverAnswer(True, _witness(parents, hit), hit, d)
+    return _cover(_object_system_kind(system), initial, target, depth, max_states)
 
 
 def replay_object_system(system: ObjectSystem, initial: Multiset, witness: Iterable[EventMode]) -> Multiset:
-    current = initial
-    for mode in witness:
-        if not system.enabled(current, mode):
-            raise NotEnabledError(f"witness step {mode.event.name!r} is not enabled")
-        current = os_fire(current, mode)
-    return current
+    return reduce(_object_system_kind(system).step, witness, initial)
 
 
 # -- compiler harnesses --------------------------------------------------------
@@ -237,7 +243,7 @@ def minimal_runs(
     is not an encoding are dead ends and are dropped.
     """
     net = reduction.net
-    system = reduction.system
+    successors = _object_system_kind(reduction.system).successors
     if decode_config(net, start) is None:
         raise ValueError("start marking is not an encoding of a configuration")
     runs: list[tuple[list[EventMode], Multiset]] = []
@@ -246,11 +252,10 @@ def minimal_runs(
     def walk(marking: Multiset, prefix: list[EventMode]) -> None:
         if len(prefix) >= max_len:
             return
-        for mode in system.all_modes(marking):
+        for mode, nxt in successors(marking):
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchLimitReached("max_expansions", max_expansions)
-            nxt = os_fire(marking, mode)
             if any(tok.place == SELECT_TRAN for tok in nxt.support()):
                 if decode_config(net, nxt) is not None:
                     runs.append((prefix + [mode], nxt))
@@ -287,11 +292,7 @@ def check_simulation(
     red = reduction if reduction is not None else reduce_nunet(net)
     if max_len is None:
         max_len = max_run_length(net)
-    s1 = {
-        nu_fire(net, configuration, t, mode)
-        for t in net.transitions
-        for mode in nu_enabled_modes(net, configuration, t)
-    }
+    s1 = {nxt for _, nxt in _name_net_kind(net).successors(configuration)}
     runs = minimal_runs(red, encode_config(net, configuration), max_len, max_expansions)
     s2 = {decode_config(net, end) for _, end in runs}
     return SimulationReport(

@@ -104,16 +104,3 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
             out.append(f"  {_q(node)} -> {_q(tok.place)} [style=dashed, arrowhead=none];")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def dot_witness(snapshots: list[str], steps: list[str]) -> str:
-    """A chain of state snapshots joined by labelled step edges."""
-    if len(snapshots) != len(steps) + 1:
-        raise ValueError("need one more snapshot than steps")
-    out = ["digraph witness {", "  rankdir=TB;"]
-    for i, snap in enumerate(snapshots):
-        out.append(f"  {_q('s' + str(i))} [shape=box, label={_q(snap)}];")
-    for i, step in enumerate(steps):
-        out.append(f"  {_q('s' + str(i))} -> {_q('s' + str(i + 1))} [label={_q(step)}];")
-    out.append("}")
-    return "\n".join(out) + "\n"

@@ -111,10 +111,6 @@ class NuNet:
         arcs = self.outflow[t]
         return tuple(arcs.get(p, EMPTY).count(v) for p in self.places)
 
-    def input_demand(self, t: str) -> Multiset:
-        """Multiset of per-variable demand vectors over t's standard variables."""
-        return Multiset(self.in_vector(t, x) for x in self.standard_vars_of(t))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NuNet):
             return NotImplemented
@@ -216,41 +212,26 @@ class NuMode:
                 return i
         raise KeyError(var)
 
-    def sort_key(self) -> tuple:
-        return self.assignment
 
+def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
+    """Enabled modes deduplicated by effect.
 
-def raw_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
-    """Every enabled assignment of distinct occurrences to variables.
-
-    Equal tuples at different occurrence indices yield distinct entries
-    here; enabled_modes collapses them.
+    Assignments of distinct occurrences to variables are tried in
+    permutation order.  Two assignments picking equal tuples for every
+    variable fire to the same configuration; the first one survives.
     """
     occ = configuration.elements()
     xs = net.standard_vars_of(t)
     demands = {x: net.in_vector(t, x) for x in xs}
-    out = []
+    seen: dict[tuple, NuMode] = {}
     for idxs in itertools.permutations(range(len(occ)), len(xs)):
         if all(
             all(d <= m for d, m in zip(demands[x], occ[i]))
             for x, i in zip(xs, idxs)
         ):
-            out.append(NuMode.make(zip(xs, idxs)))
-    return out
-
-
-def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
-    """Enabled modes deduplicated by effect.
-
-    Two assignments picking equal tuples for every variable fire to the
-    same configuration; one representative survives.
-    """
-    occ = configuration.elements()
-    seen: dict[tuple, NuMode] = {}
-    for mode in raw_modes(net, configuration, t):
-        effect = tuple((v, occ[i]) for v, i in mode.assignment)
-        if effect not in seen:
-            seen[effect] = mode
+            mode = NuMode.make(zip(xs, idxs))
+            effect = tuple((v, occ[i]) for v, i in mode.assignment)
+            seen.setdefault(effect, mode)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -385,8 +385,8 @@ def fire(marking: Multiset, mode: EventMode) -> Multiset:
 def covers(marking: Multiset, target: Multiset) -> bool:
     """Token-wise domination: an injective, place-respecting assignment of
     target tokens to marking tokens whose inner markings dominate them."""
-    target_places = {tok.place for tok in target.support()}
-    for place in target_places:
+    # Canonical place order: the work done must not depend on string hashing.
+    for place in dict.fromkeys(tok.place for tok in target.support()):
         left = [tok for tok in target.elements() if tok.place == place]
         right = [tok for tok in marking.elements() if tok.place == place]
         if len(left) > len(right):

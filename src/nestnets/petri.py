@@ -99,13 +99,6 @@ class PetriNet:
             out = out + self.post_of(t) * c
         return out
 
-    def fire_multiset(self, marking: Multiset, ts: Multiset) -> Multiset:
-        """Fire a multiset of transitions as one step (summed pre/post)."""
-        need = self.pre_sum(ts)
-        if not need.leq(marking):
-            raise NotEnabledError(f"net {self.name}: transition multiset {ts} is not enabled at {marking}")
-        return marking - need + self.post_sum(ts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PetriNet):
             return NotImplemented

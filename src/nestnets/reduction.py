@@ -53,17 +53,6 @@ class Reduction:
     object_net_id: str
     name_table: dict[str, NameEntry]
 
-    def ids_for_role(self, role: str) -> list[str]:
-        return [i for i, e in self.name_table.items() if e.role == role]
-
-    def ids_for_source(self, transition: str, variable: str | None = None) -> list[str]:
-        return [
-            i
-            for i, e in self.name_table.items()
-            if e.source_transition == transition
-            and (variable is None or e.source_variable == variable)
-        ]
-
 
 def obj_id(t: str, v: str) -> str:
     return f"{t}::obj::{v}"

@@ -67,6 +67,13 @@ def test_simulate_deterministic(capsys):
     assert first == second
     assert first.startswith("0: [1 0]\n")
     assert len(first.strip().splitlines()) == 5
+    assert first == (
+        "0: [1 0]\n"
+        "1: t1 x=[1 0] -> [0 1] [1 0]\n"
+        "2: t1 x=[1 0] -> [0 1] [0 1] [1 0]\n"
+        "3: t1 x=[1 0] -> [0 1] [0 1] [0 1] [1 0]\n"
+        "4: t1 x=[1 0] -> [0 1] [0 1] [0 1] [0 1] [1 0]\n"
+    )
 
 
 def test_simulate_deadlock(capsys, tmp_path):
@@ -81,6 +88,11 @@ def test_simulate_eos(capsys):
     code, out, _ = run(capsys, "simulate", COURIER, "--steps", "2", "--seed", "1")
     assert code == 0
     assert out.startswith("0: inbox { } inbox { draft:2 }\n")
+    assert out == (
+        "0: inbox { } inbox { draft:2 }\n"
+        "1: process -> inbox { } outbox { draft:1 final:1 } spool { }\n"
+        "deadlock after 1 steps\n"
+    )
 
 
 # -- reduce -------------------------------------------------------------------
@@ -151,6 +163,11 @@ def test_cover_eos(capsys):
     assert code == 0
     assert "covered at depth 1" in out
     assert "process" in out
+    assert out == (
+        "covered at depth 1\n"
+        "  1. process  take inbox { draft:2 }  put outbox { draft:1 final:1 } spool { }\n"
+        "state: inbox { } outbox { draft:1 final:1 } spool { }\n"
+    )
 
 
 def test_cover_exact_rejected_for_eos(capsys):

@@ -11,7 +11,6 @@ from nestnets.nunet import (
     covers,
     enabled_modes,
     fire,
-    raw_modes,
     size,
     validate,
 )
@@ -114,9 +113,7 @@ def test_modes_require_demand():
 def test_raw_modes_vs_deduplicated():
     net = d0()
     cfg = config(net, [(1, 0), (1, 0), (2, 0)])
-    raw = raw_modes(net, cfg, "t1")
     dedup = enabled_modes(net, cfg, "t1")
-    assert len(raw) == 3   # three occurrences all satisfy the demand
     assert len(dedup) == 2  # the two equal tuples collapse
     effects = {cfg.elements()[m.index_of("x")] for m in dedup}
     assert effects == {(1, 0), (2, 0)}

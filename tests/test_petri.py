@@ -42,11 +42,6 @@ def test_firing_multisets_of_transitions():
     ts = Multiset(["t", "t", "u"])
     assert net.pre_sum(ts) == Multiset(["p", "p", "p", "p"])
     assert net.post_sum(ts) == Multiset(["q", "q", "q", "p"])
-    m = Multiset(["p"] * 4)
-    assert net.fire_multiset(m, ts) == Multiset(["q", "q", "q", "p"])
-    with pytest.raises(NotEnabledError):
-        net.fire_multiset(Multiset(["p"]), ts)
-    assert net.fire_multiset(m, EMPTY) == m
 
 
 def test_validation():

@@ -187,10 +187,6 @@ def test_name_table_roles():
     assert roles["t1::fire::nu"] == "fire"
     assert roles["t1::done"] == "done"
     assert roles["t1::obj::x"] == "object-transition"
-    assert red.ids_for_role("fire") == ["t1::fire::x", "t1::fire::nu"]
-    assert red.ids_for_source("t1", "x") == [
-        "t1::selected::x", "t1::run::x", "t1::pick::x", "t1::fire::x", "t1::obj::x",
-    ]
 
 
 def test_name_table_covers_generated_ids():

@@ -12,7 +12,6 @@ from nestnets import (
     ParseError,
     dot_nunet,
     dot_object_system,
-    dot_witness,
     encode_config,
     format_config,
     format_marking,
@@ -291,11 +290,3 @@ def test_dot_object_system():
     assert "shape=triangle" in dot       # black-typed places
     assert "idle::" not in dot           # synthesized transitions stay hidden
     assert "cluster_token0" in dot       # marking tokens appear
-
-
-def test_dot_witness():
-    dot = dot_witness(["a", "b"], ["step"])
-    assert _brace_balanced(dot)
-    assert '"s0" -> "s1"' in dot
-    with pytest.raises(ValueError):
-        dot_witness(["a"], ["step"])
