@@ -41,18 +41,14 @@ def dot_nunet(net: NuNet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_plain_net(out: list[str], net: PetriNet, indent: str) -> None:
-    for p in net.places:
-        out.append(f"{indent}{_q(p)} [shape=circle];")
-    for t in net.transitions:
-        out.append(f"{indent}{_q(t)} [shape=box];")
-    for t in net.transitions:
-        for p, k in net.pre[t].items():
-            label = f" [label={_q(str(k))}]" if k > 1 else ""
-            out.append(f"{indent}{_q(p)} -> {_q(t)}{label};")
-        for p, k in net.post[t].items():
-            label = f" [label={_q(str(k))}]" if k > 1 else ""
-            out.append(f"{indent}{_q(t)} -> {_q(p)}{label};")
+def _emit_arcs(out: list[str], net: PetriNet, t: str, indent: str) -> None:
+    """Arcs of one transition, labelled with their weight when above 1."""
+    for p, k in net.pre[t].items():
+        label = f" [label={_q(str(k))}]" if k > 1 else ""
+        out.append(f"{indent}{_q(p)} -> {_q(t)}{label};")
+    for p, k in net.post[t].items():
+        label = f" [label={_q(str(k))}]" if k > 1 else ""
+        out.append(f"{indent}{_q(t)} -> {_q(p)}{label};")
 
 
 def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> str:
@@ -62,7 +58,12 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
             continue
         out.append(f"  subgraph {_q('cluster_' + net.name)} {{")
         out.append(f"    label={_q(net.name)};")
-        _emit_plain_net(out, net, "    ")
+        for p in net.places:
+            out.append(f"    {_q(p)} [shape=circle];")
+        for t in net.transitions:
+            out.append(f"    {_q(t)} [shape=box];")
+        for t in net.transitions:
+            _emit_arcs(out, net, t, "    ")
         out.append("  }")
 
     sysnet = system.system
@@ -84,14 +85,8 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
                 label_lines.append(e.name)
         out.append(f"  {_q(t)} [shape=box, label={_q(chr(10).join(label_lines))}];")
     for t in sysnet.transitions:
-        if t.startswith(IDLE_PREFIX):
-            continue
-        for p, k in sysnet.pre[t].items():
-            label = f" [label={_q(str(k))}]" if k > 1 else ""
-            out.append(f"  {_q(p)} -> {_q(t)}{label};")
-        for p, k in sysnet.post[t].items():
-            label = f" [label={_q(str(k))}]" if k > 1 else ""
-            out.append(f"  {_q(t)} -> {_q(p)}{label};")
+        if not t.startswith(IDLE_PREFIX):
+            _emit_arcs(out, sysnet, t, "  ")
 
     if marking is not None:
         for i, tok in enumerate(marking.elements()):

@@ -1,14 +1,16 @@
-"""Maximum bipartite matching via augmenting paths."""
+"""Bipartite matching via augmenting paths."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 
-def max_matching_size(adjacency: Sequence[Sequence[int]], n_right: int) -> int:
-    """Size of a maximum matching.
+def has_perfect_left_matching(adjacency: Sequence[Sequence[int]]) -> bool:
+    """True when every left vertex can be matched to a distinct right vertex.
 
     adjacency[i] lists the right-side vertices compatible with left vertex i.
+    A left vertex with no augmenting path never gains one as the matching
+    grows, so the search stops at the first such vertex.
     """
     match_right: dict[int, int] = {}
 
@@ -22,13 +24,4 @@ def max_matching_size(adjacency: Sequence[Sequence[int]], n_right: int) -> int:
                 return True
         return False
 
-    size = 0
-    for i in range(len(adjacency)):
-        if augment(i, set()):
-            size += 1
-    return size
-
-
-def has_perfect_left_matching(adjacency: Sequence[Sequence[int]], n_right: int) -> bool:
-    """True when every left vertex can be matched to a distinct right vertex."""
-    return max_matching_size(adjacency, n_right) == len(adjacency)
+    return all(augment(i, set()) for i in range(len(adjacency)))

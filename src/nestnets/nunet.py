@@ -276,4 +276,4 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bo
         ]
         for l in left
     ]
-    return has_perfect_left_matching(adjacency, len(right))
+    return has_perfect_left_matching(adjacency)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
@@ -97,8 +97,8 @@ def project_system(marking: Multiset) -> Multiset:
     return Multiset.from_counts(counts)
 
 
-def _selections(avail: Sequence[tuple[NestedToken, int]], need: int) -> Iterator[dict[NestedToken, int]]:
-    """All ways to take exactly `need` tokens from (token, available) pairs."""
+def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[dict[Hashable, int]]:
+    """All ways to take exactly `need` items from (item, available) pairs."""
     if need == 0:
         yield {}
         return
@@ -113,34 +113,16 @@ def _selections(avail: Sequence[tuple[NestedToken, int]], need: int) -> Iterator
             yield sel
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _distributions(aggregate: Multiset, slots: int) -> Iterator[list[Multiset]]:
     """All ways to split a multiset across `slots` ordered slots."""
-    if slots == 0:
-        if not aggregate:
-            yield []
-        return
     items = aggregate.items()
-    per_element = [list(_compositions(c, slots)) for _, c in items]
+    # Splitting c copies of an element takes c from slots that could each hold all c.
+    per_element = [list(_selections([(i, c) for i in range(slots)], c)) for _, c in items]
     for combo in itertools.product(*per_element):
         parts: list[dict] = [{} for _ in range(slots)]
-        for (element, _), comp in zip(items, combo):
-            for i, k in enumerate(comp):
-                if k:
-                    parts[i][element] = k
+        for (element, _), split in zip(items, combo):
+            for i, k in split.items():
+                parts[i][element] = k
         yield [Multiset.from_counts(d) for d in parts]
 
 
@@ -240,17 +222,34 @@ class ObjectSystem:
                         f"token on {tok.place!r} (type {net.name}) has inner token on foreign place {p!r}"
                     )
 
-    def project_object(self, marking: Multiset, net_id: str) -> Multiset:
-        """Combined inner marking of all tokens typed by the given net."""
-        if net_id not in self.object_nets:
-            raise ValueError(f"unknown object net {net_id!r}")
-        out = EMPTY
+    # -- enabledness -------------------------------------------------------
+
+    def _inner_by_net(self, marking: Multiset) -> dict[str, Multiset]:
+        """Combined inner marking per object net; nets holding nothing are left out."""
+        out: dict[str, Multiset] = {}
         for tok, c in marking.items():
-            if self.typing.get(tok.place) == net_id:
-                out = out + tok.inner * c
+            if tok.inner:
+                net_id = self.typing[tok.place]
+                out[net_id] = out.get(net_id, EMPTY) + tok.inner * c
         return out
 
-    # -- enabledness -------------------------------------------------------
+    def _inner_after(self, event: Event, lam: Multiset) -> dict[str, Multiset] | None:
+        """What rho must hold per object net (conditions 3 and 4).
+
+        None when the inner tokens of lam cannot pay for theta.  A net that
+        theta does not fire keeps its inner tokens, so only theta is walked.
+        """
+        inner = self._inner_by_net(lam)
+        for net_id, ts in event.theta:
+            net = self.object_nets[net_id]
+            have = inner.pop(net_id, EMPTY)
+            need = net.pre_sum(ts)
+            if not need.leq(have):
+                return None
+            after = have - need + net.post_sum(ts)
+            if after:
+                inner[net_id] = after
+        return inner
 
     def phi(self, event: Event, lam: Multiset, rho: Multiset) -> bool:
         """The mode predicate: see the module docstring, conditions 1 to 4."""
@@ -258,15 +257,7 @@ class ObjectSystem:
             return False
         if project_system(rho) != self.system.post_of(event.transition):
             return False
-        for net_id, net in self.object_nets.items():
-            ts = event.theta_of(net_id)
-            need = net.pre_sum(ts)
-            have = self.project_object(lam, net_id)
-            if not need.leq(have):
-                return False
-            if self.project_object(rho, net_id) != have - need + net.post_sum(ts):
-                return False
-        return True
+        return self._inner_after(event, lam) == self._inner_by_net(rho)
 
     def enabled(self, marking: Multiset, mode: EventMode) -> bool:
         return mode.lam.leq(marking) and self.phi(mode.event, mode.lam, mode.rho)
@@ -296,32 +287,19 @@ class ObjectSystem:
         for p, c in tpost.items():
             slots_by_net.setdefault(self.typing[p], []).extend([p] * c)
 
+        net_order = sorted(slots_by_net)
+
         modes: dict[tuple, EventMode] = {}
         for combo in itertools.product(*per_place):
             lam_counts: dict[NestedToken, int] = {}
             for sel in combo:
-                for tok, k in sel.items():
-                    lam_counts[tok] = lam_counts.get(tok, 0) + k
+                # tokens on different places never coincide
+                lam_counts.update(sel)
             lam = Multiset.from_counts(lam_counts)
 
-            aggregates: dict[str, Multiset] = {}
-            feasible = True
-            for net_id, net in self.object_nets.items():
-                ts = event.theta_of(net_id)
-                need = net.pre_sum(ts)
-                have = self.project_object(lam, net_id)
-                if not need.leq(have):
-                    feasible = False
-                    break
-                agg = have - need + net.post_sum(ts)
-                if agg and not slots_by_net.get(net_id):
-                    feasible = False
-                    break
-                aggregates[net_id] = agg
-            if not feasible:
+            aggregates = self._inner_after(event, lam)
+            if aggregates is None or any(net_id not in slots_by_net for net_id in aggregates):
                 continue
-
-            net_order = sorted(slots_by_net)
             per_net = [
                 list(_distributions(aggregates.get(net_id, EMPTY), len(slots_by_net[net_id])))
                 for net_id in net_order
@@ -385,16 +363,13 @@ def fire(marking: Multiset, mode: EventMode) -> Multiset:
 def covers(marking: Multiset, target: Multiset) -> bool:
     """Token-wise domination: an injective, place-respecting assignment of
     target tokens to marking tokens whose inner markings dominate them."""
-    # Canonical place order: the work done must not depend on string hashing.
-    for place in dict.fromkeys(tok.place for tok in target.support()):
-        left = [tok for tok in target.elements() if tok.place == place]
-        right = [tok for tok in marking.elements() if tok.place == place]
-        if len(left) > len(right):
-            return False
-        adjacency = [
-            [j for j, r in enumerate(right) if l.inner.leq(r.inner)]
-            for l in left
-        ]
-        if not has_perfect_left_matching(adjacency, len(right)):
-            return False
-    return True
+    # Most markings of a search lack some target place's tokens; counting
+    # rejects them before any matching is built.
+    if not project_system(target).leq(project_system(marking)):
+        return False
+    right = marking.elements()
+    adjacency = [
+        [j for j, r in enumerate(right) if l.place == r.place and l.inner.leq(r.inner)]
+        for l in target.elements()
+    ]
+    return has_perfect_left_matching(adjacency)

@@ -49,6 +49,8 @@ written; they are re-synthesized when the system is built.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, validate
 from .objectsystem import IDLE_PREFIX, Event, NestedToken, ObjectSystem
@@ -119,6 +121,36 @@ def _parse_vectors(lineno: int, tokens: list[str]) -> list[tuple[int, ...]]:
     return vectors
 
 
+def _parse_config_line(lineno: int, tokens: list[str], arity: int) -> Multiset:
+    """A configuration: [..] vectors of the given arity, no negative entries."""
+    vectors = _parse_vectors(lineno, tokens)
+    for vec in vectors:
+        if len(vec) != arity:
+            raise ParseError(lineno, f"vector {list(vec)} has arity {len(vec)}, net has {arity} places")
+        if any(k < 0 for k in vec):
+            raise ParseError(lineno, f"negative entry in {list(vec)}")
+    return Multiset(vectors)
+
+
+def _parse_trans(
+    cur: _Cursor, lineno: int, tokens: list[str], seen: list[str], arc: Callable[[int, list[str], str], None]
+) -> str:
+    """A 'trans <id> ... end' block: its id joins seen, arc(lineno, tokens, t) reads each in/out line."""
+    if len(tokens) != 2:
+        raise ParseError(lineno, "expected 'trans <id>'")
+    t = tokens[1]
+    if t in seen:
+        raise ParseError(lineno, f"duplicate transition {t!r}")
+    seen.append(t)
+    while True:
+        lineno, tokens = cur.next()
+        if tokens[0] == "end":
+            return t
+        if tokens[0] not in ("in", "out"):
+            raise ParseError(lineno, f"expected 'in', 'out' or 'end', got {tokens[0]!r}")
+        arc(lineno, tokens, t)
+
+
 # -- name nets -----------------------------------------------------------------
 
 
@@ -146,7 +178,7 @@ def parse_nunet(text: str, require_valid: bool = True) -> tuple[NuNet, Multiset 
     target: Multiset | None = None
     header_line = lineno
 
-    def parse_arc(lineno: int, tokens: list[str], t: str, flow: dict) -> None:
+    def parse_arc(lineno: int, tokens: list[str], t: str) -> None:
         if len(tokens) < 4 or tokens[2] != ":":
             raise ParseError(lineno, f"expected '{tokens[0]} <place> : <var>...'")
         p = tokens[1]
@@ -156,17 +188,8 @@ def parse_nunet(text: str, require_valid: bool = True) -> tuple[NuNet, Multiset 
         for v in tokens[3:]:
             if v not in declared:
                 raise ParseError(lineno, f"undeclared variable {v!r}")
-        arcs = flow.setdefault(t, {})
+        arcs = (inflow if tokens[0] == "in" else outflow).setdefault(t, {})
         arcs[p] = arcs.get(p, EMPTY) + Multiset(tokens[3:])
-
-    def parse_vector_line(lineno: int, tokens: list[str]) -> Multiset:
-        vectors = _parse_vectors(lineno, tokens[1:])
-        for vec in vectors:
-            if len(vec) != len(places):
-                raise ParseError(lineno, f"vector {list(vec)} has arity {len(vec)}, net has {len(places)} places")
-            if any(k < 0 for k in vec):
-                raise ParseError(lineno, f"negative entry in {list(vec)}")
-        return Multiset(vectors)
 
     while cur.peek() is not None:
         lineno, tokens = cur.next()
@@ -178,28 +201,11 @@ def parse_nunet(text: str, require_valid: bool = True) -> tuple[NuNet, Multiset 
         elif head == "fresh":
             fresh.extend(tokens[1:])
         elif head == "trans":
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected 'trans <id>'")
-            t = tokens[1]
-            if t in transitions:
-                raise ParseError(lineno, f"duplicate transition {t!r}")
-            transitions.append(t)
-            inflow.setdefault(t, {})
-            outflow.setdefault(t, {})
-            while True:
-                lineno2, tokens2 = cur.next()
-                if tokens2[0] == "end":
-                    break
-                if tokens2[0] == "in":
-                    parse_arc(lineno2, tokens2, t, inflow)
-                elif tokens2[0] == "out":
-                    parse_arc(lineno2, tokens2, t, outflow)
-                else:
-                    raise ParseError(lineno2, f"expected 'in', 'out' or 'end', got {tokens2[0]!r}")
+            _parse_trans(cur, lineno, tokens, transitions, parse_arc)
         elif head == "init":
-            init = parse_vector_line(lineno, tokens)
+            init = _parse_config_line(lineno, tokens[1:], len(places))
         elif head == "target":
-            target = parse_vector_line(lineno, tokens)
+            target = _parse_config_line(lineno, tokens[1:], len(places))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
@@ -220,13 +226,7 @@ def format_config(configuration: Multiset) -> str:
 
 def parse_config(text: str, net: NuNet) -> Multiset:
     """Inline configuration: zero or more [..] vectors."""
-    vectors = _parse_vectors(1, [tok for _, tokens in _tokenize(text) for tok in tokens])
-    for vec in vectors:
-        if len(vec) != len(net.places):
-            raise ParseError(1, f"vector {list(vec)} has arity {len(vec)}, net has {len(net.places)} places")
-        if any(k < 0 for k in vec):
-            raise ParseError(1, f"negative entry in {list(vec)}")
-    return Multiset(vectors)
+    return _parse_config_line(1, [tok for _, tokens in _tokenize(text) for tok in tokens], len(net.places))
 
 
 def print_nunet(net: NuNet, init: Multiset | None = None, target: Multiset | None = None) -> str:
@@ -277,6 +277,12 @@ def _parse_net_body(cur: _Cursor, name: str, typed: bool) -> tuple[PetriNet, dic
     transitions: list[str] = []
     pre: dict[str, Multiset] = {}
     post: dict[str, Multiset] = {}
+
+    def parse_arc(lineno: int, tokens: list[str], t: str) -> None:
+        p, k = _parse_weighted_arc(lineno, tokens, places)
+        store = pre if tokens[0] == "in" else post
+        store[t] = store.get(t, EMPTY) + Multiset([p]) * k
+
     while True:
         lineno, tokens = cur.next()
         head = tokens[0]
@@ -293,23 +299,7 @@ def _parse_net_body(cur: _Cursor, name: str, typed: bool) -> tuple[PetriNet, dic
                     p = tok
                 places.append(p)
         elif head == "trans":
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected 'trans <id>'")
-            t = tokens[1]
-            if t in pre:
-                raise ParseError(lineno, f"duplicate transition {t!r}")
-            transitions.append(t)
-            pre.setdefault(t, EMPTY)
-            post.setdefault(t, EMPTY)
-            while True:
-                lineno2, tokens2 = cur.next()
-                if tokens2[0] == "end":
-                    break
-                if tokens2[0] not in ("in", "out"):
-                    raise ParseError(lineno2, f"expected 'in', 'out' or 'end', got {tokens2[0]!r}")
-                p, k = _parse_weighted_arc(lineno2, tokens2, places)
-                store = pre if tokens2[0] == "in" else post
-                store[t] = store[t] + Multiset([p]) * k
+            _parse_trans(cur, lineno, tokens, transitions, parse_arc)
         else:
             raise ParseError(lineno, f"expected 'places', 'trans' or 'end', got {head!r}")
     try:

@@ -244,7 +244,38 @@ def test_dot_outputs(capsys, tmp_path):
     code, out, _ = run(capsys, "dot", COURIER, "-o", str(f))
     assert code == 0
     assert out == ""
-    assert f.read_text().startswith("digraph system {")
+    assert f.read_text() == (
+        "digraph system {\n"
+        "  rankdir=LR;\n"
+        '  subgraph "cluster_doc" {\n'
+        '    label="doc";\n'
+        '    "draft" [shape=circle];\n'
+        '    "final" [shape=circle];\n'
+        '    "stamp" [shape=box];\n'
+        '    "draft" -> "stamp";\n'
+        '    "stamp" -> "final";\n'
+        "  }\n"
+        '  "inbox" [shape=circle];\n'
+        '  "outbox" [shape=circle];\n'
+        '  "spool" [shape=triangle];\n'
+        '  "move" [shape=box, label="move\nprocess ⟨doc: stamp⟩"];\n'
+        '  "inbox" -> "move";\n'
+        '  "move" -> "outbox";\n'
+        '  "move" -> "spool";\n'
+        '  subgraph "cluster_token0" {\n'
+        "    style=dashed;\n"
+        '    label="";\n'
+        '    "token0" [shape=plaintext, label="{ }"];\n'
+        "  }\n"
+        '  "token0" -> "inbox" [style=dashed, arrowhead=none];\n'
+        '  subgraph "cluster_token1" {\n'
+        "    style=dashed;\n"
+        '    label="";\n'
+        '    "token1" [shape=plaintext, label="{ draft:2 }"];\n'
+        "  }\n"
+        '  "token1" -> "inbox" [style=dashed, arrowhead=none];\n'
+        "}\n"
+    )
 
 
 # -- argument handling ---------------------------------------------------------------

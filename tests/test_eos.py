@@ -1,5 +1,6 @@
 """Object systems: enabledness predicate, mode enumeration, firing, order."""
 
+import itertools
 import random
 
 import pytest
@@ -98,13 +99,8 @@ def test_marking_validation():
 # -- projections -------------------------------------------------------------
 
 def test_projections():
-    sys_ = small_system()
     m = Multiset([tok("s1", "a", "a"), tok("s1"), tok("s2", "b"), tok("s3")])
     assert project_system(m) == Multiset(["s1", "s1", "s2", "s3"])
-    assert sys_.project_object(m, "inner") == Multiset(["a", "a", "b"])
-    assert sys_.project_object(m, "black") == EMPTY
-    with pytest.raises(ValueError):
-        sys_.project_object(m, "zz")
 
 
 # -- the enabledness predicate, hand-checked ---------------------------------
@@ -266,6 +262,40 @@ def test_covers_needs_real_matching():
     t = Multiset([tok("s1", "a"), tok("s1", "a", "b")])
     assert covers(m, t)
     assert not covers(m, Multiset([tok("s1", "b"), tok("s1", "b")]))
+
+
+def covers_by_brute_force(marking, target):
+    """Domination by trying every injective assignment of target tokens."""
+    left = target.elements()
+    return any(
+        all(l.place == r.place and l.inner.leq(r.inner) for l, r in zip(left, chosen))
+        for chosen in itertools.permutations(marking.elements(), len(left))
+    )
+
+
+def test_covers_matches_brute_force():
+    # one place passes while another fails
+    m = Multiset([tok("s1", "a"), tok("s1"), tok("s2", "b")])
+    t = Multiset([tok("s1", "a"), tok("s2", "a")])
+    assert not covers(m, t) and not covers_by_brute_force(m, t)
+    # the target uses a place the marking lacks
+    t = Multiset([tok("s1"), tok("s3")])
+    assert not covers(m, t) and not covers_by_brute_force(m, t)
+    rng = random.Random(224)
+    verdicts = []
+    for _ in range(300):
+        sys_ = random_object_system(rng)
+        a = random_marking(rng, sys_, max_tokens=4)
+        if rng.random() < 0.5:
+            b = random_marking(rng, sys_)
+        else:  # a weakening of a: some of its tokens, with fewer inner tokens
+            b = Multiset(
+                NestedToken(x.place, Multiset(rng.sample(x.inner.elements(), rng.randint(0, len(x.inner)))))
+                for x in a.elements() if rng.random() < 0.7
+            )
+        verdicts.append(covers(a, b))
+        assert verdicts[-1] == covers_by_brute_force(a, b), (a, b)
+    assert 30 < sum(verdicts) < 270  # both verdicts are well represented
 
 
 def test_covers_quasi_order():

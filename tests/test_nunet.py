@@ -1,10 +1,12 @@
 """Name-carrying nets: validity, modes, firing, the embedding order."""
 
+import itertools
 import random
 
 import pytest
 
 from nestnets import Multiset, NotEnabledError, NuNet
+from nestnets.matching import has_perfect_left_matching
 from nestnets.nunet import (
     NuMode,
     config,
@@ -14,7 +16,7 @@ from nestnets.nunet import (
     size,
     validate,
 )
-from netgen import random_config, random_nupn
+from netgen import random_config, random_nupn, weaken_config
 from oracles import nu_mode_effects, nu_successors
 
 
@@ -219,6 +221,47 @@ def test_covers_needs_real_matching():
     target = Multiset([(1, 0), (2, 2)])
     assert covers(big, target)
     assert not covers(Multiset([(2, 2)]), Multiset([(1, 0), (0, 1)]))
+
+
+def covers_by_brute_force(configuration, target):
+    """Domination by trying every injective assignment of target tuples."""
+    left = target.elements()
+    return any(
+        all(len(l) == len(r) and all(x <= y for x, y in zip(l, r)) for l, r in zip(left, chosen))
+        for chosen in itertools.permutations(configuration.elements(), len(left))
+    )
+
+
+def test_covers_matches_brute_force():
+    # tuples of another arity never dominate
+    mixed = Multiset([(2, 2), (2, 2, 2)])
+    for target in (Multiset([(1, 1, 1), (1, 1, 1)]), Multiset([(1,)]), Multiset([(1, 1), (0, 0, 0)])):
+        assert covers(mixed, target) == covers_by_brute_force(mixed, target)
+    rng = random.Random(506)
+    net = NuNet("n", ("p", "q"), ("t",))
+    verdicts = []
+    for _ in range(300):
+        a = random_config(rng, net, max_tuples=5)
+        b = random_config(rng, net) if rng.random() < 0.5 else weaken_config(rng, a)
+        verdicts.append(covers(a, b))
+        assert verdicts[-1] == covers_by_brute_force(a, b), (a, b)
+    assert 30 < sum(verdicts) < 270  # both verdicts are well represented
+
+
+def test_perfect_left_matching_matches_brute_force():
+    assert has_perfect_left_matching([])
+    assert not has_perfect_left_matching([[], [0]])  # the first left vertex has no edge
+    assert not has_perfect_left_matching([[0], [0]])
+    assert has_perfect_left_matching([[0, 1], [0]])  # needs an augmenting path
+    rng = random.Random(507)
+    for _ in range(300):
+        n_left, n_right = rng.randint(0, 4), rng.randint(0, 5)
+        adjacency = [[j for j in range(n_right) if rng.random() < 0.4] for _ in range(n_left)]
+        expected = any(
+            all(j in adjacency[i] for i, j in enumerate(chosen))
+            for chosen in itertools.permutations(range(n_right), n_left)
+        )
+        assert has_perfect_left_matching(adjacency) == expected, adjacency
 
 
 def test_covers_quasi_order():

@@ -115,11 +115,16 @@ def test_parse_errors_carry_positions():
         ("nupn n\nplaces p\ntrans t\nend\ntrans t\nend\n", "line 5: duplicate transition 't'"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in p : y\nend\n", "line 5: undeclared variable 'y'"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in zz : x\nend\n", "line 5: unknown place 'zz'"),
+        ("nupn n\nplaces p q\nvars x\ntrans t\n in p : x\n out zz : x\nend\n", "line 6: unknown place 'zz'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
             parse_nunet(text)
         assert str(err.value) == message
+    net, _, _ = parse_nunet(d0_text())
+    with pytest.raises(ParseError) as err:
+        parse_config("[1 0]\n[0 1 2]", net)
+    assert str(err.value) == "line 1: vector [0, 1, 2] has arity 3, net has 2 places"
 
 
 def test_invalid_net_raises_or_parses():
@@ -201,6 +206,12 @@ def test_eos_parse_errors_carry_positions():
         ("eos\nsystem s\n places p:foo\nend\n", "line 2: place 'p' typed by unknown object net 'foo'"),
         ("eos\nobjectnet black\n places x\nend\nsystem s\n places p:black\nend\n",
          "line 2: object net id 'black' is reserved for the empty net"),
+        ("eos\nobjectnet a\n places x\n trans t\n  in x\n  bad x\n end\nend\n",
+         "line 6: expected 'in', 'out' or 'end', got 'bad'"),
+        ("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\n trans t\n end\nend\n",
+         "line 8: duplicate transition 't'"),
+        ("eos\nsystem s\n places p:black\n trans t\n  in p : 0\n end\nend\n",
+         "line 5: arc weight must be positive, got 0"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
