@@ -262,10 +262,10 @@ def _cmd_cover_transfer(args) -> int:
     return EXIT_OK if src.covered else EXIT_NOT_COVERED
 
 
-def _random_config(rng: random.Random, arity: int, max_tuples: int = 3, max_entry: int = 2) -> Multiset:
+def _random_config(rng: random.Random, arity: int) -> Multiset:
     return Multiset(
-        tuple(rng.randint(0, max_entry) for _ in range(arity))
-        for _ in range(rng.randint(0, max_tuples))
+        tuple(rng.randint(0, 2) for _ in range(arity))
+        for _ in range(rng.randint(0, 3))
     )
 
 

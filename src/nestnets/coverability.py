@@ -178,7 +178,9 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
 
     return SimpleNamespace(
         validate=system.validate_marking,
-        successors=lambda marking: [(mode, os_fire(marking, mode)) for mode in system.all_modes(marking)],
+        successors=lambda marking: [
+            (mode, os_fire(marking, mode)) for e in system.events for mode in system.enabled_modes(marking, e)
+        ],
         covers=lambda marking, target: os_covers(marking, target),
         step=step,
     )
@@ -287,13 +289,12 @@ def check_simulation(
     configuration: Multiset,
     max_len: int | None = None,
     reduction: Reduction | None = None,
-    max_expansions: int = DEFAULT_MAX_STATES,
 ) -> SimulationReport:
     red = reduction if reduction is not None else reduce_nunet(net)
     if max_len is None:
         max_len = max_run_length(net)
     s1 = {nxt for _, nxt in _name_net_kind(net).successors(configuration)}
-    runs = minimal_runs(red, encode_config(net, configuration), max_len, max_expansions)
+    runs = minimal_runs(red, encode_config(net, configuration), max_len)
     s2 = {decode_config(net, end) for _, end in runs}
     return SimulationReport(
         configuration,

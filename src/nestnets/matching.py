@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 
@@ -13,15 +14,27 @@ def has_perfect_left_matching(adjacency: Sequence[Sequence[int]]) -> bool:
     grows, so the search stops at the first such vertex.
     """
     match_right: dict[int, int] = {}
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in adjacency[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_right or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(adjacency)))
+    match_left: dict[int, int] = {}
+    for i in range(len(adjacency)):
+        # Breadth-first search for an augmenting path; via[j] is the left vertex that reached j.
+        via: dict[int, int] = {}
+        queue = deque([i])
+        free = None
+        while queue and free is None:
+            u = queue.popleft()
+            for j in adjacency[u]:
+                if j not in via:
+                    via[j] = u
+                    if j not in match_right:
+                        free = j
+                        break
+                    queue.append(match_right[j])
+        if free is None:
+            return False
+        # Flip the path: each right vertex on it takes the left vertex that reached it.
+        while free is not None:
+            u = via[free]
+            previous = match_left.get(u)
+            match_right[free], match_left[u] = u, free
+            free = previous
+    return True

@@ -206,33 +206,26 @@ class NuMode:
     def make(cls, pairs: Iterable[tuple[str, int]]) -> "NuMode":
         return cls(tuple(sorted(pairs)))
 
-    def index_of(self, var: str) -> int:
-        for v, i in self.assignment:
-            if v == var:
-                return i
-        raise KeyError(var)
-
 
 def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
-    """Enabled modes deduplicated by effect.
+    """Enabled modes, one per effect (the tuple each variable picks), sorted by effect.
 
-    Assignments of distinct occurrences to variables are tried in
-    permutation order.  Two assignments picking equal tuples for every
-    variable fire to the same configuration; the first one survives.
+    The k-th variable, in declaration order, to pick a tuple takes its k-th
+    occurrence if there is one: the effect's first assignment in permutation order.
     """
     occ = configuration.elements()
+    first: dict[tuple, int] = {}
+    for i, tup in enumerate(occ):
+        first.setdefault(tup, i)
     xs = net.standard_vars_of(t)
-    demands = {x: net.in_vector(t, x) for x in xs}
-    seen: dict[tuple, NuMode] = {}
-    for idxs in itertools.permutations(range(len(occ)), len(xs)):
-        if all(
-            all(d <= m for d, m in zip(demands[x], occ[i]))
-            for x, i in zip(xs, idxs)
-        ):
-            mode = NuMode.make(zip(xs, idxs))
-            effect = tuple((v, occ[i]) for v, i in mode.assignment)
-            seen.setdefault(effect, mode)
-    return [seen[k] for k in sorted(seen)]
+    demands = [net.in_vector(t, x) for x in xs]
+    choices = [[tup for tup in first if all(d <= m for d, m in zip(demand, tup))] for demand in demands]
+    modes = []
+    for picks in itertools.product(*choices):
+        idxs = [first[tup] + picks[:k].count(tup) for k, tup in enumerate(picks)]
+        if all(i < len(occ) and occ[i] == tup for i, tup in zip(idxs, picks)):
+            modes.append(NuMode.make(zip(xs, idxs)))
+    return sorted(modes, key=lambda mode: [(v, occ[i]) for v, i in mode.assignment])
 
 
 def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:

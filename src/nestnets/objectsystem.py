@@ -99,18 +99,16 @@ def project_system(marking: Multiset) -> Multiset:
 
 def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[dict[Hashable, int]]:
     """All ways to take exactly `need` items from (item, available) pairs."""
-    if need == 0:
-        yield {}
-        return
-    if not avail:
-        return
-    tok, have = avail[0]
-    for k in range(min(have, need), -1, -1):
-        for rest in _selections(avail[1:], need - k):
-            sel = dict(rest)
-            if k:
-                sel[tok] = k
-            yield sel
+    stack: list[tuple[int, int, tuple]] = [(0, need, ())]  # (item index, still needed, taken so far)
+    while stack:
+        i, left, taken = stack.pop()
+        if left == 0:
+            yield dict(taken)
+        elif i < len(avail):
+            tok, have = avail[i]
+            # ascending, so the most copies of this item come off the stack first
+            for k in range(min(have, left) + 1):
+                stack.append((i + 1, left - k, taken + ((tok, k),) if k else taken))
 
 
 def _distributions(aggregate: Multiset, slots: int) -> Iterator[list[Multiset]]:
@@ -313,13 +311,6 @@ class ObjectSystem:
                 mode = EventMode(event, lam, rho)
                 modes[(lam.sort_key(), rho.sort_key())] = mode
         return [modes[k] for k in sorted(modes)]
-
-    def all_modes(self, marking: Multiset) -> list[EventMode]:
-        """Enabled modes of every event, in event declaration order."""
-        out: list[EventMode] = []
-        for e in self.events:
-            out.extend(self.enabled_modes(marking, e))
-        return out
 
     # -- structure ---------------------------------------------------------
 

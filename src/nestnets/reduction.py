@@ -163,18 +163,11 @@ def reduce_nunet(net: NuNet) -> Reduction:
                     produced = moved + all_runs  # no fresh variable: the last pick releases the runs
                 add_transition(tid, taken, produced, NameEntry("pick", t, v), None)
 
-        for x in xs:
-            add_transition(
-                f"{t}::fire::{x}",
-                Multiset([selected[x], run[x]]),
-                Multiset([SIM, report]),
-                NameEntry("fire", t, x),
-                x,
-            )
-        for v in fresh:
+        for v in chain:
             add_transition(
                 f"{t}::fire::{v}",
-                Multiset([run[v]]),
+                # a standard variable also moves its selected token back to sim
+                Multiset([run[v]] if v in fresh else [selected[v], run[v]]),
                 Multiset([SIM, report]),
                 NameEntry("fire", t, v),
                 v,

@@ -1,11 +1,13 @@
 """The command line interface: subcommands, exit codes, determinism."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import nestnets
 from nestnets.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -170,6 +172,20 @@ def test_cover_eos(capsys):
     )
 
 
+def test_cover_eos_many_tokens_on_one_place(capsys, tmp_path):
+    # 1100 distinct tokens on one input place, more than the default recursion
+    # limit.  The event also needs a token on the empty place ready, so the
+    # tokens are selected but no successor is built (sorting 1100 successors
+    # of 1100 tokens each would take half a minute).
+    f = tmp_path / "many.eos"
+    init = " ".join(f"pool {{ a:{k} }}" for k in range(1, 1101))
+    f.write_text("eos\nobjectnet doc\n places a\nend\nsystem s\n places pool:doc ready:black done:doc\n"
+                 "trans move\n in pool\n in ready\n out done\n end\nend\nevents\n event go = move\nend\n"
+                 f"init {init}\n")
+    code, out, err = run(capsys, "cover", str(f), "--target", "done { a:1100 }", "--depth", "1")
+    assert (code, out, err) == (2, "not covered within depth 0 (state space exhausted)\n", "")
+
+
 def test_cover_exact_rejected_for_eos(capsys):
     code, _, err = run(capsys, "cover", COURIER, "--target", "outbox { }",
                        "--depth", "1", "--exact")
@@ -293,9 +309,11 @@ def test_usage_errors_exit_one():
 
 
 def test_console_entry_point():
+    # The child imports the same nestnets copy as this process, installed or not.
+    package_root = str(pathlib.Path(nestnets.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "nestnets.cli", "validate", D0],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok: nupn d0")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_raw_modes_vs_deduplicated():
     cfg = config(net, [(1, 0), (1, 0), (2, 0)])
     dedup = enabled_modes(net, cfg, "t1")
     assert len(dedup) == 2  # the two equal tuples collapse
-    effects = {cfg.elements()[m.index_of("x")] for m in dedup}
+    effects = {cfg.elements()[i] for m in dedup for x, i in m.assignment if x == "x"}
     assert effects == {(1, 0), (2, 0)}
 
 
@@ -138,6 +139,62 @@ def test_bare_transition_has_one_empty_mode():
     modes = enabled_modes(net, cfg, "t")
     assert modes == [NuMode(())]
     assert fire(net, cfg, "t", modes[0]) == cfg
+
+
+def modes_by_permutations(net, configuration, t):
+    """Reference enumerator: every injective assignment of occurrences in
+    permutation order, the first one per effect kept, sorted by effect."""
+    occ = configuration.elements()
+    xs = net.standard_vars_of(t)
+    seen = {}
+    for idxs in itertools.permutations(range(len(occ)), len(xs)):
+        if all(all(d <= m for d, m in zip(net.in_vector(t, x), occ[i])) for x, i in zip(xs, idxs)):
+            mode = NuMode.make(zip(xs, idxs))
+            seen.setdefault(tuple((v, occ[i]) for v, i in mode.assignment), mode)
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_modes_match_permutation_reference():
+    two = NuNet("n", ("p",), ("t",), standard_vars=("x", "y"),
+                inflow={"t": {"p": Multiset(["x", "y"])}},
+                outflow={"t": {"p": Multiset(["x", "y"])}})
+    # x and y may both pick (1,), which occurs twice (y takes the second
+    # occurrence), but not (2,), which occurs once
+    cfg = config(two, [(1,), (1,), (2,)])
+    assert enabled_modes(two, cfg, "t") == [
+        NuMode.make([("x", 0), ("y", 1)]),
+        NuMode.make([("x", 0), ("y", 2)]),
+        NuMode.make([("x", 2), ("y", 0)]),
+    ]
+    assert enabled_modes(two, config(two, [(2,), (0,)]), "t") == []
+    # standard variables declared out of alphabetical order: the first
+    # declared takes the first occurrence of a tuple picked twice
+    backwards = NuNet("n", ("p", "q"), ("t",), standard_vars=("z", "a", "m"),
+                      inflow={"t": {"p": Multiset(["z", "a"]), "q": Multiset(["m"])}})
+    cfg = config(backwards, [(1, 1), (1, 1), (1, 0), (0, 1)])
+    modes = enabled_modes(backwards, cfg, "t")
+    # occurrences: 0 (0, 1), 1 (1, 0), 2 and 3 (1, 1)
+    assert NuMode.make([("z", 2), ("a", 3), ("m", 0)]) in modes
+    assert NuMode.make([("z", 3), ("a", 2), ("m", 0)]) not in modes
+    assert NuMode.make([("z", 1), ("a", 2), ("m", 3)]) in modes
+    assert modes == modes_by_permutations(backwards, cfg, "t")
+
+    rng = random.Random(408)
+    repeated = 0
+    for _ in range(300):
+        net = random_nupn(rng)
+        base = random_config(rng, net, max_tuples=4, max_entry=1)
+        cfg = base + Multiset(rng.choices(base.elements(), k=rng.randint(1, 3))) if base else base
+        repeated += len(cfg.support()) < len(cfg)
+        for t in net.transitions:
+            assert enabled_modes(net, cfg, t) == modes_by_permutations(net, cfg, t), (net, cfg, t)
+    for _ in range(100):
+        arcs = {p: Multiset(rng.choices("zam", k=rng.randint(0, 3))) for p in ("p", "q")}
+        arcs["p"] += Multiset("zam")  # every variable is used
+        net = NuNet("n", ("p", "q"), ("t",), standard_vars=("z", "a", "m"), inflow={"t": arcs})
+        cfg = random_config(rng, net, max_tuples=5, max_entry=2)
+        assert enabled_modes(net, cfg, "t") == modes_by_permutations(net, cfg, "t"), (arcs, cfg)
+    assert repeated > 200  # the rest are empty configurations
 
 
 def test_modes_match_oracle():
@@ -253,6 +310,9 @@ def test_perfect_left_matching_matches_brute_force():
     assert not has_perfect_left_matching([[], [0]])  # the first left vertex has no edge
     assert not has_perfect_left_matching([[0], [0]])
     assert has_perfect_left_matching([[0, 1], [0]])  # needs an augmenting path
+    # left 0 must move off right 0 for left 1, so right 0 stays taken for left 2
+    assert not has_perfect_left_matching([[0, 1, 2], [0], [0]])
+    assert has_perfect_left_matching([[0, 5], [0, 1, 4, 5], [0, 2, 3, 4], [0, 2], [0]])
     rng = random.Random(507)
     for _ in range(300):
         n_left, n_right = rng.randint(0, 4), rng.randint(0, 5)
@@ -262,6 +322,22 @@ def test_perfect_left_matching_matches_brute_force():
             for chosen in itertools.permutations(range(n_right), n_left)
         )
         assert has_perfect_left_matching(adjacency) == expected, adjacency
+
+
+def test_perfect_left_matching_long_augmenting_paths():
+    n = 5 * sys.getrecursionlimit()
+    # left i first tries right i - 1, held by left i - 1, and so on down the chain
+    assert has_perfect_left_matching([[0]] + [[i - 1, i] for i in range(1, n)])
+    # the last left vertex frees right 0 by moving every other left vertex one step
+    assert has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0]])
+    assert not has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0], [0]])
+
+
+def test_covers_long_chain():
+    # target (i, n-i) fits only (i, n-i+1) and (i+1, n-i): a chain of n tuples
+    n = sys.getrecursionlimit() + 100
+    configuration = Multiset((j + 1, n - j) for j in range(n))
+    assert covers(configuration, Multiset((i, n - i) for i in range(n)))
 
 
 def test_covers_quasi_order():
