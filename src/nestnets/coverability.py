@@ -176,11 +176,22 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
             raise NotEnabledError(f"witness step {mode.event.name!r} is not enabled")
         return os_fire(marking, mode)
 
+    # An event whose input places are not all occupied has no mode, so it is
+    # skipped before enabled_modes groups the marking.
+    inputs = [(e, frozenset(system.system.pre_of(e.transition).support())) for e in system.events]
+
+    def successors(marking: Multiset) -> list[tuple[EventMode, Multiset]]:
+        occupied = {tok.place for tok in marking.support()}
+        return [
+            (mode, os_fire(marking, mode))
+            for e, places in inputs
+            if places <= occupied
+            for mode in system.enabled_modes(marking, e)
+        ]
+
     return SimpleNamespace(
         validate=system.validate_marking,
-        successors=lambda marking: [
-            (mode, os_fire(marking, mode)) for e in system.events for mode in system.enabled_modes(marking, e)
-        ],
+        successors=successors,
         covers=lambda marking, target: os_covers(marking, target),
         step=step,
     )

@@ -8,7 +8,9 @@ rejected at construction.
 Iteration and rendering use a canonical order so that equal multisets
 always print and enumerate identically.  Elements are sorted by
 ``sort_key(element)``, which handles strings, int tuples and any object
-exposing its own ``sort_key()`` (nested tokens do).
+exposing its own ``sort_key()`` (nested tokens do).  A multiset is never
+changed once built, so it computes its canonical order and its own sort
+key at most once, on first use.
 """
 
 from __future__ import annotations
@@ -32,37 +34,54 @@ class Multiset:
     counts raise ValueError.
     """
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_hash", "_items", "_key")
 
-    def __init__(self, elements: Iterable[Any] = ()):
+    def __new__(cls, elements: Iterable[Any] = ()) -> "Multiset":
         counts: dict[Any, int] = {}
         for e in elements:
             counts[e] = counts.get(e, 0) + 1
-        self._counts = counts
-        self._hash: int | None = None
+        return cls._of(counts)
+
+    @classmethod
+    def _of(cls, counts: dict[Any, int]) -> "Multiset":
+        """The one constructor: takes ownership of positive int counts."""
+        m = object.__new__(cls)
+        m._counts = counts
+        m._hash = None
+        m._items = None
+        m._key = None
+        return m
 
     @classmethod
     def from_counts(cls, counts: Mapping[Any, int]) -> "Multiset":
-        m = cls()
+        kept: dict[Any, int] = {}
         for e, c in counts.items():
             if not isinstance(c, int):
                 raise ValueError(f"count for {e!r} must be an int, got {type(c).__name__}")
             if c < 0:
                 raise ValueError(f"negative count {c} for {e!r}")
             if c > 0:
-                m._counts[e] = c
-        return m
+                kept[e] = c
+        return cls._of(kept)
+
+    def _canonical(self) -> tuple[tuple[Any, int], ...]:
+        """(element, count) pairs in canonical order, sorted on first use."""
+        items = self._items
+        if items is None:
+            counts = self._counts
+            items = self._items = tuple((e, counts[e]) for e in sorted(counts, key=sort_key))
+        return items
 
     def count(self, element: Any) -> int:
         return self._counts.get(element, 0)
 
     def support(self) -> list:
         """Distinct elements, canonically ordered."""
-        return sorted(self._counts, key=sort_key)
+        return [e for e, _ in self._canonical()]
 
     def items(self) -> list[tuple[Any, int]]:
         """(element, count) pairs in canonical element order."""
-        return [(e, self._counts[e]) for e in self.support()]
+        return list(self._canonical())
 
     def total(self) -> int:
         """Cardinality counting multiplicity."""
@@ -71,7 +90,7 @@ class Multiset:
     def elements(self) -> list:
         """All elements with multiplicity, canonically ordered."""
         out = []
-        for e, c in self.items():
+        for e, c in self._canonical():
             out.extend([e] * c)
         return out
 
@@ -79,7 +98,9 @@ class Multiset:
         return self.total()
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self.elements())
+        for e, c in self._canonical():
+            for _ in range(c):
+                yield e
 
     def __contains__(self, element: Any) -> bool:
         return element in self._counts
@@ -93,25 +114,28 @@ class Multiset:
         counts = dict(self._counts)
         for e, c in other._counts.items():
             counts[e] = counts.get(e, 0) + c
-        return Multiset.from_counts(counts)
+        return Multiset._of(counts)
 
     def __sub__(self, other: "Multiset") -> "Multiset":
         """Truncated difference: counts never go below zero."""
         if not isinstance(other, Multiset):
             return NotImplemented
-        counts = {}
-        for e, c in self._counts.items():
-            d = c - other.count(e)
-            if d > 0:
-                counts[e] = d
-        return Multiset.from_counts(counts)
+        counts = dict(self._counts)
+        for e, c in other._counts.items():
+            d = counts.get(e)
+            if d is not None:
+                if d > c:
+                    counts[e] = d - c
+                else:
+                    del counts[e]
+        return Multiset._of(counts)
 
     def __mul__(self, n: int) -> "Multiset":
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError(f"cannot scale a multiset by {n}")
-        return Multiset.from_counts({e: c * n for e, c in self._counts.items()})
+        return Multiset._of({e: c * n for e, c in self._counts.items()} if n else {})
 
     __rmul__ = __mul__
 
@@ -131,7 +155,10 @@ class Multiset:
 
     def sort_key(self) -> tuple:
         """Key ordering multisets among themselves (used for canonical forms)."""
-        return tuple((sort_key(e), c) for e, c in self.items())
+        key = self._key
+        if key is None:
+            key = self._key = tuple((sort_key(e), c) for e, c in self._canonical())
+        return key
 
     def __str__(self) -> str:
         return "{{" + ", ".join(str(e) for e in self.elements()) + "}}"

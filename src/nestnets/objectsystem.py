@@ -46,7 +46,13 @@ class NestedToken:
     inner: Multiset
 
     def sort_key(self) -> tuple:
-        return (self.place, self.inner.sort_key())
+        try:
+            return self._key
+        except AttributeError:
+            # computed once; the token is frozen, and _key is not a field
+            key = (self.place, self.inner.sort_key())
+            object.__setattr__(self, "_key", key)
+            return key
 
     def __str__(self) -> str:
         entries = " ".join(f"{p}:{c}" for p, c in self.inner.items())

@@ -175,8 +175,9 @@ def test_cover_eos(capsys):
 def test_cover_eos_many_tokens_on_one_place(capsys, tmp_path):
     # 1100 distinct tokens on one input place, more than the default recursion
     # limit.  The event also needs a token on the empty place ready, so the
-    # tokens are selected but no successor is built (sorting 1100 successors
-    # of 1100 tokens each would take half a minute).
+    # search skips it before selecting tokens and builds no successor (without
+    # the gate, building and sorting 1100 successors of 1100 tokens each takes
+    # about 5 s).  test_eos.py selects that many tokens directly.
     f = tmp_path / "many.eos"
     init = " ".join(f"pool {{ a:{k} }}" for k in range(1, 1101))
     f.write_text("eos\nobjectnet doc\n places a\nend\nsystem s\n places pool:doc ready:black done:doc\n"
@@ -184,6 +185,21 @@ def test_cover_eos_many_tokens_on_one_place(capsys, tmp_path):
                  f"init {init}\n")
     code, out, err = run(capsys, "cover", str(f), "--target", "done { a:1100 }", "--depth", "1")
     assert (code, out, err) == (2, "not covered within depth 0 (state space exhausted)\n", "")
+
+
+def test_cover_eos_wide_marking_ungated(capsys, tmp_path):
+    # 300 distinct tokens on the one input place, so one layer holds 300
+    # successors of 300 tokens each, every one sorted and compared.
+    f = tmp_path / "wide.eos"
+    pool = [f"pool {{ a:{k} }}" for k in range(1, 301)]
+    f.write_text("eos\nobjectnet doc\n places a\nend\nsystem s\n places pool:doc done:doc\n"
+                 "trans move\n in pool\n out done\n end\nend\nevents\n event go = move\nend\n"
+                 f"init {' '.join(pool)}\n")
+    code, out, err = run(capsys, "cover", str(f), "--target", "done { a:300 }", "--depth", "1")
+    assert (code, err) == (0, "")
+    assert out == ("covered at depth 1\n"
+                   "  1. go  take pool { a:300 }  put done { a:300 }\n"
+                   f"state: done {{ a:300 }} {' '.join(pool[:-1])}\n")
 
 
 def test_cover_exact_rejected_for_eos(capsys):

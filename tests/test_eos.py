@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from nestnets import (
     idle_id,
     project_system,
 )
+from nestnets.coverability import _object_system_kind
 from netgen import random_marking, random_object_system
 from oracles import eos_mode_keys, eos_successors
 
@@ -155,6 +157,19 @@ def test_distribution_across_equal_slots():
     assert len(modes) == 2
 
 
+def test_one_mode_per_token_beyond_recursion_limit():
+    # more distinct tokens on the input place than the default recursion limit
+    n = sys.getrecursionlimit() + 100
+    inner = PetriNet("doc", places=("a",), transitions=(), pre={}, post={})
+    system = PetriNet("s", places=("pool", "done"), transitions=("move",),
+                      pre={"move": Multiset(["pool"])}, post={"move": Multiset(["done"])})
+    sys_ = ObjectSystem(system, [inner], {"pool": "doc", "done": "doc"}, [Event.make("go", "move")])
+    m = Multiset(tok("pool", *["a"] * k) for k in range(1, n + 1))
+    modes = sys_.enabled_modes(m, sys_.events[0])
+    assert [mode.lam for mode in modes] == [Multiset([t]) for t in m.elements()]
+    assert [mode.rho for mode in modes] == [Multiset([NestedToken("done", t.inner)]) for t in m.elements()]
+
+
 def test_idle_event_rewrites_in_place():
     inner = PetriNet("inner", places=("a", "b"), transitions=("u",),
                      pre={"u": Multiset(["a"])}, post={"u": Multiset(["b"])})
@@ -214,6 +229,24 @@ def test_modes_match_oracle():
             assert len(keys) == len(modes)  # no duplicate modes
             succ = {fire(m, mode).sort_key() for mode in modes}
             assert succ == eos_successors(sys_, m, ev)
+
+
+def test_adapter_successors_match_every_event():
+    # The adapter skips events with an empty input place; the list, order
+    # included, must be the one built by asking every event.
+    rng = random.Random(404)
+    skipped = fired = 0
+    for _ in range(300):
+        sys_ = random_object_system(rng)
+        successors = _object_system_kind(sys_).successors
+        for _ in range(3):
+            m = random_marking(rng, sys_, max_tokens=rng.choice([0, 2, 4]))
+            every = [(mode, fire(m, mode)) for e in sys_.events for mode in sys_.enabled_modes(m, e)]
+            assert successors(m) == every
+            occupied = {t.place for t in m.support()}
+            skipped += sum(not set(sys_.system.pre_of(e.transition).support()) <= occupied for e in sys_.events)
+            fired += len(every)
+    assert skipped > 100 and fired > 100
 
 
 def test_modes_sorted_canonically():

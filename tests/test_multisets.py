@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nestnets import EMPTY, Multiset
+from nestnets.multisets import sort_key
 
 # elements of one multiset are homogeneous in practice (places, vectors,
 # variables, tokens), and canonical ordering relies on that
@@ -106,6 +107,81 @@ def test_canonical_iteration(a):
     assert list(a) == a.elements()
     assert a.support() == sorted(set(a.elements()))
     assert Multiset(a) == a  # iterating a multiset rebuilds it
+
+
+def canonical_views(ref: Counter) -> dict:
+    """Every canonical view, computed afresh from reference counts."""
+    items = sorted(((e, c) for e, c in ref.items() if c > 0), key=lambda ec: sort_key(ec[0]))
+    elements = [e for e, c in items for _ in range(c)]
+    return {
+        "items": items,
+        "support": [e for e, _ in items],
+        "elements": elements,
+        "iter": elements,
+        "sort_key": tuple((sort_key(e), c) for e, c in items),
+    }
+
+
+def views_of(ms: Multiset, order: list[str]) -> dict:
+    calls = {
+        "items": ms.items,
+        "support": ms.support,
+        "elements": ms.elements,
+        "iter": lambda: list(iter(ms)),
+        "sort_key": ms.sort_key,
+    }
+    return {name: calls[name]() for name in order}
+
+
+@given(
+    st.one_of(st.tuples(string_elements, string_elements), st.tuples(tuple_elements, tuple_elements)),
+    st.integers(0, 3),
+    st.permutations(["items", "support", "elements", "iter", "sort_key"]),
+)
+def test_canonical_views_after_each_operation(pair, n, order):
+    xs, ys = pair
+    cx, cy = Counter(xs), Counter(ys)
+    a, b = Multiset(xs), Multiset(ys)
+    with_zeros = dict(cx) | {y: 0 for y in ys if y not in cx}
+    scaled = Counter({e: c * n for e, c in cx.items()})
+    built = [
+        (Multiset(xs), cx),
+        (Multiset.from_counts(with_zeros), cx),
+        (a + b, cx + cy),
+        (a - b, cx - cy),
+        (b - a, cy - cx),
+        (a * n, scaled),
+        (n * a, scaled),
+    ]
+    for ms, ref in built:
+        expected = canonical_views(ref)
+        # the first pass computes the canonical order, the second reads it back
+        assert views_of(ms, order) == expected
+        assert views_of(ms, order[::-1]) == expected
+
+
+@given(multisets, st.sampled_from(["items", "support", "elements"]))
+def test_returned_lists_are_copies(a, view):
+    expected_items = a.items()
+    expected_hash = hash(Multiset(a.elements()))
+    returned = getattr(a, view)()
+    returned.append(returned[0] if returned else "x")
+    returned.reverse()
+    returned.append(("zz", 9))
+    assert a.items() == expected_items
+    assert hash(a) == expected_hash
+    assert a == Multiset(a.elements())
+    assert getattr(a, view)() != returned
+
+
+def test_from_counts_copies_its_argument():
+    counts = {"b": 1, "a": 2}
+    ms = Multiset.from_counts(counts)
+    assert ms.items() == [("a", 2), ("b", 1)]
+    counts["c"] = 5
+    del counts["a"]
+    assert ms.items() == [("a", 2), ("b", 1)]
+    assert ms == Multiset(["a", "a", "b"])
 
 
 def test_rendering():
