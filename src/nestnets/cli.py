@@ -58,6 +58,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() rejects the text
+    return parse
+
+
+_COUNT = _int_at_least(0)
+_MAX_STATES = _int_at_least(1)  # a search always holds its initial state
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nestnets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,7 +84,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="fire uniformly random enabled steps")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_COUNT, default=10)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("reduce", help="compile a name net into an object system")
@@ -79,8 +96,8 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--target", required=True, help="inline marking/config or a file holding one")
     p.add_argument("--init", help="override the initial marking/config from the file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--depth", type=_COUNT, required=True)
+    p.add_argument("--max-states", type=_MAX_STATES, default=DEFAULT_MAX_STATES)
     p.add_argument("--exact", action="store_true",
                    help="name nets: require exact tuple inclusion instead of embedding")
 
@@ -88,17 +105,17 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--target", required=True)
     p.add_argument("--init", help="override the initial configuration from the file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--depth", type=_COUNT, required=True)
+    p.add_argument("--max-states", type=_MAX_STATES, default=DEFAULT_MAX_STATES)
 
     p = sub.add_parser("check-lemma", help="verify one-step simulation on configurations")
     p.add_argument("file")
     p.add_argument("--config", help="configuration to check (default: the file's init)")
     p.add_argument("--random", action="store_true", dest="randomized",
                    help="check randomly drawn configurations instead")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_COUNT, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, help="run length bound (default: longest gadget)")
+    p.add_argument("--max-len", type=_COUNT, help="run length bound (default: longest gadget)")
 
     p = sub.add_parser("dot", help="export a net file to Graphviz DOT")
     p.add_argument("file")

@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from .multisets import Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
-from .objectsystem import EventMode, ObjectSystem, covers as os_covers, fire as os_fire
+from .objectsystem import EventMode, ObjectSystem, _by_place, covers as os_covers, fire as os_fire
 from .petri import NotEnabledError
 from .reduction import (
     SELECT_TRAN,
@@ -151,6 +151,13 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 # not enabled.  The factories below look up nu_* and os_* in this module's
 # globals at each call, so wrappers put there (benches/layertrace.py) see
 # every call.
+#
+# An object-system adapter memoises mode lists for its own life (one search):
+# an event's modes depend only on the tokens on its input places, with their
+# inner markings and counts, so they are keyed on the event's index and those
+# tokens, grouped as enabled_modes groups them, and a hit fires the same modes
+# that enabled_modes would return.  The memo is not kept on the ObjectSystem,
+# so a long-lived system does not grow between queries.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
@@ -176,18 +183,23 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
             raise NotEnabledError(f"witness step {mode.event.name!r} is not enabled")
         return os_fire(marking, mode)
 
-    # An event whose input places are not all occupied has no mode, so it is
-    # skipped before enabled_modes groups the marking.
-    inputs = [(e, frozenset(system.system.pre_of(e.transition).support())) for e in system.events]
+    # Modes per (event index, tokens on its input places); see above.  An
+    # event whose input places are not all occupied has no mode and is skipped.
+    inputs = [(i, e, system.system.pre_of(e.transition).support()) for i, e in enumerate(system.events)]
+    memo: dict[tuple, list[EventMode]] = {}
 
     def successors(marking: Multiset) -> list[tuple[EventMode, Multiset]]:
-        occupied = {tok.place for tok in marking.support()}
-        return [
-            (mode, os_fire(marking, mode))
-            for e, places in inputs
-            if places <= occupied
-            for mode in system.enabled_modes(marking, e)
-        ]
+        by_place = _by_place(marking)
+        out = []
+        for i, e, places in inputs:
+            if not all(p in by_place for p in places):
+                continue
+            key = (i, *(tuple(by_place[p]) for p in places))
+            modes = memo.get(key)
+            if modes is None:
+                modes = memo[key] = system.enabled_modes(marking, e)
+            out.extend((mode, os_fire(marking, mode)) for mode in modes)
+        return out
 
     return SimpleNamespace(
         validate=system.validate_marking,

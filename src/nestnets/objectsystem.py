@@ -103,6 +103,14 @@ def project_system(marking: Multiset) -> Multiset:
     return Multiset.from_counts(counts)
 
 
+def _by_place(marking: Multiset) -> dict[str, list[tuple[NestedToken, int]]]:
+    """A marking's (token, count) pairs grouped by system place, canonically ordered."""
+    out: dict[str, list[tuple[NestedToken, int]]] = {}
+    for tok, c in marking.items():
+        out.setdefault(tok.place, []).append((tok, c))
+    return out
+
+
 def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[dict[Hashable, int]]:
     """All ways to take exactly `need` items from (item, available) pairs."""
     stack: list[tuple[int, int, tuple]] = [(0, need, ())]  # (item index, still needed, taken so far)
@@ -276,10 +284,7 @@ class ObjectSystem:
         tpre = self.system.pre_of(event.transition)
         tpost = self.system.post_of(event.transition)
 
-        by_place: dict[str, list[tuple[NestedToken, int]]] = {}
-        for tok, c in marking.items():
-            by_place.setdefault(tok.place, []).append((tok, c))
-
+        by_place = _by_place(marking)
         per_place: list[list[dict[NestedToken, int]]] = []
         for p, need in tpre.items():
             sels = list(_selections(by_place.get(p, []), need))

@@ -324,6 +324,40 @@ def test_usage_errors_exit_one():
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("argv, option, low, value", [
+    (["simulate", D0, "--steps", "-1"], "--steps", 0, -1),
+    (["cover", D0, "--target", "[0 1]", "--depth", "-3"], "--depth", 0, -3),
+    (["cover", D0, "--target", "[0 1]", "--depth", "1", "--max-states", "0"], "--max-states", 1, 0),
+    (["cover", D0, "--target", "[0 1]", "--depth", "1", "--max-states", "-5"], "--max-states", 1, -5),
+    (["cover-transfer", D0, "--target", "[0 1]", "--depth", "-2"], "--depth", 0, -2),
+    (["cover-transfer", D0, "--target", "[0 1]", "--depth", "1", "--max-states", "0"], "--max-states", 1, 0),
+    (["check-lemma", D0, "--random", "--trials", "-2"], "--trials", 0, -2),
+    (["check-lemma", D0, "--config", "[1 0]", "--max-len", "-1"], "--max-len", 0, -1),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, option, low, value):
+    # check-lemma --max-len -1 used to report a false FAIL (exit 4)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: must be at least {low}, got {value}\n")
+
+
+def test_count_options_accept_their_lowest_value(capsys):
+    assert run(capsys, "simulate", D0, "--steps", "0") == (0, "0: [1 0]\n", "")
+    assert run(capsys, "cover", D0, "--target", "[1 0]", "--depth", "0", "--max-states", "1") == (
+        0, "covered at depth 0\nstate: [1 0]\n", "")
+    assert run(capsys, "check-lemma", D0, "--random", "--trials", "0") == (0, "", "")
+
+
+def test_non_integer_count_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cover", D0, "--target", "[0 1]", "--depth", "x"])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith("error: argument --depth: invalid int value: 'x'\n")
+
+
 def test_console_entry_point():
     # The child imports the same nestnets copy as this process, installed or not.
     package_root = str(pathlib.Path(nestnets.__file__).resolve().parent.parent)

@@ -231,22 +231,101 @@ def test_modes_match_oracle():
             assert succ == eos_successors(sys_, m, ev)
 
 
+def counting_modes(sys_):
+    """Route the system's enabled_modes through a counter; returns the list of
+    (marking, event) pairs it was asked for.  The referee calls the class's
+    method directly, so only the adapter's calls are counted."""
+    asked = []
+
+    def enabled_modes(marking, event):
+        asked.append((marking, event))
+        return ObjectSystem.enabled_modes(sys_, marking, event)
+
+    sys_.enabled_modes = enabled_modes
+    return asked
+
+
+def every_successor(sys_, m):
+    return [(mode, fire(m, mode)) for e in sys_.events for mode in ObjectSystem.enabled_modes(sys_, m, e)]
+
+
 def test_adapter_successors_match_every_event():
-    # The adapter skips events with an empty input place; the list, order
-    # included, must be the one built by asking every event.
+    # One adapter serves a depth-3 search, so its memo of modes is reused
+    # across markings, and it skips events with an empty input place; at
+    # every marking the list, order included, must be the one built by asking
+    # enabled_modes afresh for every event.
     rng = random.Random(404)
-    skipped = fired = 0
-    for _ in range(300):
+    skipped = eligible = fired = asked_total = 0
+    for _ in range(220):
         sys_ = random_object_system(rng)
+        asked = counting_modes(sys_)
         successors = _object_system_kind(sys_).successors
+        frontier = list(dict.fromkeys(random_marking(rng, sys_, max_tokens=rng.choice([0, 2, 3, 4])) for _ in range(2)))
+        seen = set(frontier)
         for _ in range(3):
-            m = random_marking(rng, sys_, max_tokens=rng.choice([0, 2, 4]))
-            every = [(mode, fire(m, mode)) for e in sys_.events for mode in sys_.enabled_modes(m, e)]
-            assert successors(m) == every
-            occupied = {t.place for t in m.support()}
-            skipped += sum(not set(sys_.system.pre_of(e.transition).support()) <= occupied for e in sys_.events)
-            fired += len(every)
-    assert skipped > 100 and fired > 100
+            layer = []
+            for m in frontier:
+                got = successors(m)
+                assert got == every_successor(sys_, m)
+                occupied = {t.place for t in m.support()}
+                held = sum(set(sys_.system.pre_of(e.transition).support()) <= occupied for e in sys_.events)
+                eligible += held
+                skipped += len(sys_.events) - held
+                fired += len(got)
+                for _, nxt in got:
+                    if nxt not in seen and len(seen) < 40:
+                        seen.add(nxt)
+                        layer.append(nxt)
+            frontier = layer
+        asked_total += len(asked)
+    assert skipped > 100 and fired > 1000
+    assert asked_total < eligible  # the memo answered some (marking, event) pairs
+
+
+def test_adapter_memo_ignores_tokens_off_the_input_places():
+    # ev reads only s1: a token added on s2 changes the successors' targets
+    # but not ev's modes, which are enumerated once.
+    sys_ = small_system()
+    asked = counting_modes(sys_)
+    successors = _object_system_kind(sys_).successors
+    m1 = Multiset([tok("s1", "a")])
+    m2 = m1 + Multiset([tok("s2", "b")])
+    first, second = successors(m1), successors(m2)
+    assert first == every_successor(sys_, m1) and second == every_successor(sys_, m2)
+    assert [mode for mode, _ in first] == [mode for mode, _ in second]
+    assert [nxt for _, nxt in first] != [nxt for _, nxt in second]
+    assert [e.name for _, e in asked] == ["ev"]
+
+
+def test_adapter_memo_tells_inner_markings_apart():
+    # The same place and count on s1, different inner markings: different
+    # modes, so each is enumerated.
+    sys_ = small_system()
+    asked = counting_modes(sys_)
+    successors = _object_system_kind(sys_).successors
+    one, two = Multiset([tok("s1", "a")]), Multiset([tok("s1", "a", "a")])
+    for m in (one, two, one):
+        assert successors(m) == every_successor(sys_, m)
+    assert successors(one) != successors(two) != []
+    assert [m for m, _ in asked] == [one, two]
+
+
+def test_adapter_memo_tells_events_apart():
+    # Two events on the same system transition read the same input tokens
+    # but fire different object transitions.
+    inner = PetriNet("inner", places=("a", "b"), transitions=("u", "v"),
+                     pre={"u": Multiset(["a"]), "v": Multiset(["a"])},
+                     post={"u": Multiset(["b"]), "v": Multiset(["a", "a"])})
+    system = PetriNet("outer", places=("s1", "s2"), transitions=("e",),
+                      pre={"e": Multiset(["s1"])}, post={"e": Multiset(["s2"])})
+    events = [Event.make("by_u", "e", {"inner": Multiset(["u"])}),
+              Event.make("by_v", "e", {"inner": Multiset(["v"])})]
+    sys_ = ObjectSystem(system, [inner], {"s1": "inner", "s2": "inner"}, events)
+    successors = _object_system_kind(sys_).successors
+    m = Multiset([tok("s1", "a")])
+    got = successors(m)
+    assert got == every_successor(sys_, m)
+    assert [nxt for _, nxt in got] == [Multiset([tok("s2", "b")]), Multiset([tok("s2", "a", "a")])]
 
 
 def test_modes_sorted_canonically():
