@@ -289,7 +289,11 @@ def _random_config(rng: random.Random, arity: int) -> Multiset:
 def _cmd_check_lemma(args) -> int:
     net, init, _ = parse_nunet(_read(args.file))
     reduction = reduce_nunet(net)
-    max_len = args.max_len if args.max_len is not None else max_run_length(net)
+    longest = max_run_length(net)
+    if args.max_len is not None and args.max_len < longest and net.transitions:
+        # a transition whose gadget run is longer would look unmatched: a false FAIL
+        raise ValueError(f"--max-len must be at least {longest}, the longest gadget run, got {args.max_len}")
+    max_len = longest if args.max_len is None else args.max_len
     if args.randomized:
         rng = random.Random(args.seed)
         configs = [_random_config(rng, len(net.places)) for _ in range(args.trials)]

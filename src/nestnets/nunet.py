@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .matching import has_perfect_left_matching
@@ -248,25 +249,68 @@ def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
     return configuration - consumed + Multiset(updated) + Multiset(minted)
 
 
+def _dominators(distinct: list[tuple], wanted: list[tuple]) -> dict[tuple, int]:
+    """Per wanted tuple, a bitmask of the distinct tuples that dominate it.
+
+    Bit j stands for distinct[j].  A mask starts as the tuples of the same
+    arity and, per coordinate, is ANDed with the tuples at least as large
+    there; one sweep in descending order collects those for every wanted
+    tuple at once, growing a single buffer.
+    """
+    width = (len(distinct) + 7) // 8
+    masks: dict[tuple, int] = {}
+    for arity in {len(tup) for tup in wanted}:
+        column = [j for j, tup in enumerate(distinct) if len(tup) == arity]
+        goals = [tup for tup in wanted if len(tup) == arity]
+        buf = bytearray(width)
+        for j in column:
+            buf[j >> 3] |= 1 << (j & 7)
+        masks.update(dict.fromkeys(goals, int.from_bytes(buf, "little")))
+        for k in range(arity):
+            column.sort(key=lambda j: distinct[j][k], reverse=True)
+            goals.sort(key=itemgetter(k), reverse=True)
+            buf = bytearray(width)
+            passed, size = 0, len(column)
+            for tup in goals:
+                while passed < size and distinct[column[passed]][k] >= tup[k]:
+                    j = column[passed]
+                    buf[j >> 3] |= 1 << (j & 7)
+                    passed += 1
+                masks[tup] &= int.from_bytes(buf, "little")
+    return masks
+
+
 def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bool:
     """Domination of a target configuration.
 
     Default reading: an injective assignment of target tuples to
     configuration tuples with componentwise <=.  With exact=True plain
     multiset inclusion is required instead.
+
+    The matching's edges come from a dominance index over distinct tuples
+    (_dominators), which holds exactly the pairs the componentwise test
+    accepts.  Copies of a tuple are interchangeable and a matching uses at
+    most len(target) right vertices, so each distinct configuration tuple
+    gets min(count, len(target)) slots, and the occurrences of one target
+    tuple share one edge list; the verdict is the one over all occurrences.
     """
     if exact:
         return target.leq(configuration)
-    left = target.elements()
-    right = configuration.elements()
-    if len(left) > len(right):
+    n = len(target)
+    if n > len(configuration):
         return False
-    adjacency = [
-        [
-            j
-            for j, r in enumerate(right)
-            if len(l) == len(r) and all(a <= b for a, b in zip(l, r))
-        ]
-        for l in left
-    ]
+    rows = configuration.items()
+    goals = target.items()
+    masks = _dominators([tup for tup, _ in rows], [tup for tup, _ in goals])
+    adjacency: list[list[int]] = []
+    for tup, count in goals:
+        bits = bin(masks[tup])[:1:-1]  # bit j at position j
+        slots: list[int] = []
+        j = bits.find("1")
+        while j >= 0:
+            slots.append(j)
+            j = bits.find("1", j + 1)
+        # slot s < min(count, n) of distinct tuple j is right vertex j + s * len(rows)
+        slots += [j + s * len(rows) for j in slots if rows[j][1] > 1 for s in range(1, min(rows[j][1], n))]
+        adjacency.extend([slots] * count)
     return has_perfect_left_matching(adjacency)

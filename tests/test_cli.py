@@ -258,6 +258,24 @@ def test_check_lemma_random_deterministic(capsys):
     assert first.count("PASS") == 6
 
 
+@pytest.mark.parametrize("extra, max_len", [((), 0), ((), 4), (("--config", "[0 1]"), 0)])
+def test_check_lemma_max_len_below_longest_run(capsys, extra, max_len):
+    # No compiled run finishes in fewer steps than d0's gadget (5): [1 0] used
+    # to get a false FAIL (exit 4) and [0 1], which has no successor, a PASS.
+    code, out, err = run(capsys, "check-lemma", D0, *extra, "--max-len", str(max_len))
+    assert (code, out) == (1, "")
+    assert err == f"error: --max-len must be at least 5, the longest gadget run, got {max_len}\n"
+
+
+def test_check_lemma_max_len_at_longest_run(capsys, tmp_path):
+    assert run(capsys, "check-lemma", D0, "--max-len", "5") == (
+        0, "PASS config [1 0]: 1 successor(s), 2 run(s)\n", "")
+    f = tmp_path / "still.nupn"
+    f.write_text("nupn n\nplaces p\ninit [1]\n")  # no transition, so no gadget to wait for
+    assert run(capsys, "check-lemma", str(f), "--max-len", "0") == (
+        0, "PASS config [1]: 0 successor(s), 0 run(s)\n", "")
+
+
 def test_check_lemma_requires_configuration(capsys, tmp_path):
     f = tmp_path / "noinit.nupn"
     f.write_text("nupn n\nplaces p\nvars x\ntrans t\n in p : x\n out p : x\nend\n")

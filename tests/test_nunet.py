@@ -294,6 +294,13 @@ def test_covers_matches_brute_force():
     mixed = Multiset([(2, 2), (2, 2, 2)])
     for target in (Multiset([(1, 1, 1), (1, 1, 1)]), Multiset([(1,)]), Multiset([(1, 1), (0, 0, 0)])):
         assert covers(mixed, target) == covers_by_brute_force(mixed, target)
+    # the empty tuple has no coordinate to compare: only its arity decides
+    for configuration, target, expected in (
+        (Multiset([(1,), (2, 2)]), Multiset([()]), False),
+        (Multiset([(), (1,)]), Multiset([(), ()]), False),
+        (Multiset([(), (), (1,)]), Multiset([(), (), (0,)]), True),
+    ):
+        assert covers(configuration, target) == covers_by_brute_force(configuration, target) == expected
     rng = random.Random(506)
     net = NuNet("n", ("p", "q"), ("t",))
     verdicts = []
@@ -303,6 +310,31 @@ def test_covers_matches_brute_force():
         verdicts.append(covers(a, b))
         assert verdicts[-1] == covers_by_brute_force(a, b), (a, b)
     assert 30 < sum(verdicts) < 270  # both verdicts are well represented
+    # tuples of arity 1-3 in one multiset; weakening keeps many coordinates
+    # equal to a configuration value, the boundary of the per-coordinate sweep
+    verdicts = []
+    for _ in range(300):
+        a = Multiset(
+            tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 6))
+        )
+        b = weaken_config(rng, a) if rng.random() < 0.6 else Multiset(
+            tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3))
+        )
+        verdicts.append(covers(a, b))
+        assert verdicts[-1] == covers_by_brute_force(a, b), (a, b)
+    assert 30 < sum(verdicts) < 270
+
+
+def test_covers_slot_cap():
+    # more copies of one tuple than the target has tuples
+    assert covers(Multiset([(2, 2)] * 10 + [(0, 0)]), Multiset([(1, 1), (2, 0), (0, 2)]))
+    assert not covers(Multiset([(2, 2)] * 10), Multiset([(1, 1), (2, 0), (3, 0)]))
+    # the target needs every copy of one tuple, and one more than there are
+    assert covers(Multiset([(1, 1)] * 3), Multiset([(1, 1)] * 3))
+    assert covers(Multiset([(1, 1)] * 3 + [(0, 0)]), Multiset([(1, 1), (1, 0), (0, 1), (0, 0)]))
+    assert not covers(Multiset([(1, 1)] * 2 + [(0, 0)] * 5), Multiset([(1, 1)] * 3))
 
 
 def test_perfect_left_matching_matches_brute_force():
@@ -334,10 +366,32 @@ def test_perfect_left_matching_long_augmenting_paths():
 
 
 def test_covers_long_chain():
-    # target (i, n-i) fits only (i, n-i+1) and (i+1, n-i): a chain of n tuples
-    n = sys.getrecursionlimit() + 100
+    # target (i, n-i) fits only (i, n-i+1) and (i+1, n-i): a chain of n tuples,
+    # all of one arity and one sum; testing every pair would take minutes
+    n = 20_000
     configuration = Multiset((j + 1, n - j) for j in range(n))
     assert covers(configuration, Multiset((i, n - i) for i in range(n)))
+
+
+def covers_by_pairs(configuration, target):
+    """Domination through a matching over every pair of occurrences."""
+    right = configuration.elements()
+    return has_perfect_left_matching([
+        [j for j, r in enumerate(right) if len(l) == len(r) and all(a <= b for a, b in zip(l, r))]
+        for l in target.elements()
+    ])
+
+
+def test_covers_wide_configuration():
+    n = 50_000
+    configuration = Multiset((j, n - j, j % 7) for j in range(n))
+    only = (n // 2, n - n // 2, n // 2 % 7)  # dominated by one tuple alone
+    for target, expected in (
+        (Multiset([only, (0, 0, 0), (1, 1, 6)]), True),
+        (Multiset([only, only, (0, 0, 0)]), False),
+        (Multiset([(n, 1, 0), (3, n - 3, 4), (n // 3, n // 3, 3)]), False),
+    ):
+        assert covers(configuration, target) == covers_by_pairs(configuration, target) == expected
 
 
 def test_covers_quasi_order():
