@@ -21,9 +21,9 @@ from functools import reduce
 from types import SimpleNamespace
 from typing import Any, Iterable
 
-from .multisets import Multiset
+from .multisets import EMPTY, Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
-from .objectsystem import EventMode, ObjectSystem, _by_place, covers as os_covers, fire as os_fire
+from .objectsystem import EventMode, NestedToken, ObjectSystem, _by_place, covers as os_covers, fire as os_fire
 from .petri import NotEnabledError
 from .reduction import (
     SELECT_TRAN,
@@ -156,8 +156,11 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 # an event's modes depend only on the tokens on its input places, with their
 # inner markings and counts, so they are keyed on the event's index and those
 # tokens, grouped as enabled_modes groups them, and a hit fires the same modes
-# that enabled_modes would return.  The memo is not kept on the ObjectSystem,
-# so a long-lived system does not grow between queries.
+# that enabled_modes would return.  On a miss, enabled_modes looks up each
+# choice of consumed tokens in a second memo of the adapter's, keyed by (event,
+# consumed multiset), because different input tokens often share those choices.
+# Neither memo is kept on the ObjectSystem, so a long-lived system does not
+# grow between queries.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
@@ -185,19 +188,24 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
 
     # Modes per (event index, tokens on its input places); see above.  An
     # event whose input places are not all occupied has no mode and is skipped.
-    inputs = [(i, e, system.system.pre_of(e.transition).support()) for i, e in enumerate(system.events)]
+    inputs = []
+    for i, e in enumerate(system.events):
+        places = system.system.pre_of(e.transition).support()
+        inputs.append((i, e, places, frozenset(places)))
     memo: dict[tuple, list[EventMode]] = {}
+    lam_memo: dict = {}
 
     def successors(marking: Multiset) -> list[tuple[EventMode, Multiset]]:
         by_place = _by_place(marking)
+        occupied = frozenset(by_place)
         out = []
-        for i, e, places in inputs:
-            if not all(p in by_place for p in places):
+        for i, e, places, needed in inputs:
+            if not needed <= occupied:
                 continue
             key = (i, *(tuple(by_place[p]) for p in places))
             modes = memo.get(key)
             if modes is None:
-                modes = memo[key] = system.enabled_modes(marking, e)
+                modes = memo[key] = system.enabled_modes(marking, e, lam_memo=lam_memo)
             out.extend((mode, os_fire(marking, mode)) for mode in modes)
         return out
 
@@ -273,6 +281,8 @@ def minimal_runs(
         raise ValueError("start marking is not an encoding of a configuration")
     runs: list[tuple[list[EventMode], Multiset]] = []
     budget = [max_expansions]
+    # selectTran is black-typed, so this is the only token it can hold
+    control = NestedToken(SELECT_TRAN, EMPTY)
 
     def walk(marking: Multiset, prefix: list[EventMode]) -> None:
         if len(prefix) >= max_len:
@@ -281,7 +291,7 @@ def minimal_runs(
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchLimitReached("max_expansions", max_expansions)
-            if any(tok.place == SELECT_TRAN for tok in nxt.support()):
+            if control in nxt:
                 if decode_config(net, nxt) is not None:
                     runs.append((prefix + [mode], nxt))
             else:

@@ -45,14 +45,24 @@ class NestedToken:
     place: str
     inner: Multiset
 
+    # Computed once per token on first use; the token is frozen, and these
+    # class defaults are not fields, so equality and repr ignore them.
+    _key = None
+    _hash = None
+
     def sort_key(self) -> tuple:
-        try:
-            return self._key
-        except AttributeError:
-            # computed once; the token is frozen, and _key is not a field
+        key = self._key
+        if key is None:
             key = (self.place, self.inner.sort_key())
             object.__setattr__(self, "_key", key)
-            return key
+        return key
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.place, self.inner))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         entries = " ".join(f"{p}:{c}" for p, c in self.inner.items())
@@ -127,6 +137,9 @@ def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[di
 
 def _distributions(aggregate: Multiset, slots: int) -> Iterator[list[Multiset]]:
     """All ways to split a multiset across `slots` ordered slots."""
+    if slots == 1:
+        yield [aggregate]
+        return
     items = aggregate.items()
     # Splitting c copies of an element takes c from slots that could each hold all c.
     per_element = [list(_selections([(i, c) for i in range(slots)], c)) for _, c in items]
@@ -274,15 +287,20 @@ class ObjectSystem:
     def enabled(self, marking: Multiset, mode: EventMode) -> bool:
         return mode.lam.leq(marking) and self.phi(mode.event, mode.lam, mode.rho)
 
-    def enabled_modes(self, marking: Multiset, event: Event) -> list[EventMode]:
+    def enabled_modes(
+        self, marking: Multiset, event: Event, *, lam_memo: dict | None = None
+    ) -> list[EventMode]:
         """All modes of an event enabled at a marking, canonically ordered.
 
         Consumed tokens are chosen per input place; produced inner tokens
         are distributed over output places of the same type in every
         possible way.  Symmetric choices collapse to one mode.
+
+        A search may pass lam_memo, a dict it keeps for its own life: the
+        modes of one choice of consumed tokens depend only on the event and
+        those tokens, so they are stored there under (event, lam) and reused.
         """
         tpre = self.system.pre_of(event.transition)
-        tpost = self.system.post_of(event.transition)
 
         by_place = _by_place(marking)
         per_place: list[list[dict[NestedToken, int]]] = []
@@ -292,23 +310,36 @@ class ObjectSystem:
                 return []
             per_place.append(sels)
 
-        slots_by_net: dict[str, list[str]] = {}
-        for p, c in tpost.items():
-            slots_by_net.setdefault(self.typing[p], []).extend([p] * c)
-
-        net_order = sorted(slots_by_net)
-
-        modes: dict[tuple, EventMode] = {}
+        per_lam: list[tuple[tuple, list[EventMode]]] = []
         for combo in itertools.product(*per_place):
             lam_counts: dict[NestedToken, int] = {}
             for sel in combo:
                 # tokens on different places never coincide
                 lam_counts.update(sel)
             lam = Multiset.from_counts(lam_counts)
+            if lam_memo is None:
+                per_lam.append(self._modes_consuming(event, lam))
+            else:
+                found = lam_memo.get((event, lam))
+                if found is None:
+                    found = lam_memo[(event, lam)] = self._modes_consuming(event, lam)
+                per_lam.append(found)
+        # distinct selections consume distinct multisets, so no two keys tie
+        per_lam.sort(key=lambda entry: entry[0])
+        return [mode for _, modes in per_lam for mode in modes]
 
-            aggregates = self._inner_after(event, lam)
-            if aggregates is None or any(net_id not in slots_by_net for net_id in aggregates):
-                continue
+    def _modes_consuming(self, event: Event, lam: Multiset) -> tuple[tuple, list[EventMode]]:
+        """lam's sort key and the modes of the event consuming exactly lam,
+        ordered by rho."""
+        tpost = self.system.post_of(event.transition)
+        slots_by_net: dict[str, list[str]] = {}
+        for p, c in tpost.items():
+            slots_by_net.setdefault(self.typing[p], []).extend([p] * c)
+
+        modes: dict[tuple, EventMode] = {}
+        aggregates = self._inner_after(event, lam)
+        if aggregates is not None and all(net_id in slots_by_net for net_id in aggregates):
+            net_order = sorted(slots_by_net)
             per_net = [
                 list(_distributions(aggregates.get(net_id, EMPTY), len(slots_by_net[net_id])))
                 for net_id in net_order
@@ -319,9 +350,8 @@ class ObjectSystem:
                     for place, inner in zip(slots_by_net[net_id], inners):
                         tokens.append(NestedToken(place, inner))
                 rho = Multiset(tokens)
-                mode = EventMode(event, lam, rho)
-                modes[(lam.sort_key(), rho.sort_key())] = mode
-        return [modes[k] for k in sorted(modes)]
+                modes[rho.sort_key()] = EventMode(event, lam, rho)
+        return lam.sort_key(), [modes[k] for k in sorted(modes)]
 
     # -- structure ---------------------------------------------------------
 
@@ -366,8 +396,14 @@ def covers(marking: Multiset, target: Multiset) -> bool:
     """Token-wise domination: an injective, place-respecting assignment of
     target tokens to marking tokens whose inner markings dominate them."""
     # Most markings of a search lack some target place's tokens; counting
-    # rejects them before any matching is built.
-    if not project_system(target).leq(project_system(marking)):
+    # per place rejects them before any matching is built.
+    missing: dict[str, int] = {}
+    for tok, c in target.items():
+        missing[tok.place] = missing.get(tok.place, 0) + c
+    for tok, c in marking.items():
+        if tok.place in missing:
+            missing[tok.place] -= c
+    if any(c > 0 for c in missing.values()):
         return False
     right = marking.elements()
     adjacency = [

@@ -9,6 +9,7 @@ import pytest
 from nestnets import (
     EMPTY,
     Event,
+    EventMode,
     Multiset,
     NestedToken,
     NotEnabledError,
@@ -20,6 +21,7 @@ from nestnets import (
     project_system,
 )
 from nestnets.coverability import _object_system_kind
+from nestnets.objectsystem import _distributions
 from netgen import random_marking, random_object_system
 from oracles import eos_mode_keys, eos_successors
 
@@ -98,6 +100,21 @@ def test_marking_validation():
         sys_.validate_marking(Multiset([tok("s3", "a")]))
 
 
+def test_equal_tokens_hash_equal():
+    # The hash is computed once per token; equal tokens built apart must
+    # agree, before and after their sort keys are cached.
+    rng = random.Random(12)
+    for _ in range(50):
+        place, inner = rng.choice(["s1", "s2"]), rng.choices("ab", k=rng.randint(0, 4))
+        a, b = tok(place, *inner), tok(place, *reversed(inner))
+        assert a is not b and a == b and hash(a) == hash(b)
+        a.sort_key()
+        c = tok(place, *inner)
+        c.sort_key()  # keyed before it is ever hashed
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert Multiset([a]) == Multiset([b]) and hash(Multiset([a])) == hash(Multiset([b]))
+
+
 # -- projections -------------------------------------------------------------
 
 def test_projections():
@@ -155,6 +172,27 @@ def test_distribution_across_equal_slots():
         Multiset([tok("s2", "a"), tok("s2", "b")]),
     }
     assert len(modes) == 2
+
+
+def splits_by_brute_force(aggregate, slots):
+    """Every split of a multiset over ordered slots, by sending each element
+    occurrence to each slot in turn."""
+    elements = aggregate.elements()
+    return {
+        tuple(Multiset(e for e, s in zip(elements, choice) if s == slot).sort_key() for slot in range(slots))
+        for choice in itertools.product(range(slots), repeat=len(elements))
+    }
+
+
+def test_distributions_match_brute_force():
+    rng = random.Random(31)
+    for _ in range(60):
+        m = Multiset(rng.choices("abc", k=rng.randint(0, 5)))
+        assert list(_distributions(m, 1)) == [[m]]
+        for slots in (2, 3):
+            splits = [tuple(part.sort_key() for part in split) for split in _distributions(m, slots)]
+            assert len(splits) == len(set(splits))
+            assert set(splits) == splits_by_brute_force(m, slots)
 
 
 def test_one_mode_per_token_beyond_recursion_limit():
@@ -231,18 +269,42 @@ def test_modes_match_oracle():
             assert succ == eos_successors(sys_, m, ev)
 
 
-def counting_modes(sys_):
+def counting_modes(sys_, returned=None):
     """Route the system's enabled_modes through a counter; returns the list of
-    (marking, event) pairs it was asked for.  The referee calls the class's
-    method directly, so only the adapter's calls are counted."""
+    (marking, event) pairs it was asked for, and appends each returned list
+    of modes to `returned` when given.  The referee calls the class's method
+    directly, so only the adapter's calls are counted."""
     asked = []
 
-    def enabled_modes(marking, event):
+    def enabled_modes(marking, event, **memo):
         asked.append((marking, event))
-        return ObjectSystem.enabled_modes(sys_, marking, event)
+        modes = ObjectSystem.enabled_modes(sys_, marking, event, **memo)
+        if returned is not None:
+            returned.append(modes)
+        return modes
 
     sys_.enabled_modes = enabled_modes
     return asked
+
+
+def lam_memo_hits(returned):
+    """Modes that an enabled_modes call handed back as the very objects an
+    earlier call built: the lam memo served them."""
+    seen: dict[int, EventMode] = {}  # id -> mode, keeping the modes alive
+    hits = 0
+    for modes in returned:
+        hits += sum(seen.get(id(mode)) is mode for mode in modes)
+        seen.update((id(mode), mode) for mode in modes)
+    return hits
+
+
+def split_slots(sys_, event):
+    """The most output slots any proper object net has in the event's transition."""
+    per_net: dict[str, int] = {}
+    for p, c in sys_.system.post_of(event.transition).items():
+        if sys_.typing[p] != "black":
+            per_net[sys_.typing[p]] = per_net.get(sys_.typing[p], 0) + c
+    return max(per_net.values(), default=0)
 
 
 def every_successor(sys_, m):
@@ -255,10 +317,11 @@ def test_adapter_successors_match_every_event():
     # every marking the list, order included, must be the one built by asking
     # enabled_modes afresh for every event.
     rng = random.Random(404)
-    skipped = eligible = fired = asked_total = 0
+    skipped = eligible = fired = asked_total = hits = split = 0
     for _ in range(220):
         sys_ = random_object_system(rng)
-        asked = counting_modes(sys_)
+        returned = []
+        asked = counting_modes(sys_, returned)
         successors = _object_system_kind(sys_).successors
         frontier = list(dict.fromkeys(random_marking(rng, sys_, max_tokens=rng.choice([0, 2, 3, 4])) for _ in range(2)))
         seen = set(frontier)
@@ -272,14 +335,18 @@ def test_adapter_successors_match_every_event():
                 eligible += held
                 skipped += len(sys_.events) - held
                 fired += len(got)
+                split += sum(split_slots(sys_, mode.event) >= 2 for mode, _ in got)
                 for _, nxt in got:
                     if nxt not in seen and len(seen) < 40:
                         seen.add(nxt)
                         layer.append(nxt)
             frontier = layer
         asked_total += len(asked)
+        hits += lam_memo_hits(returned)
     assert skipped > 100 and fired > 1000
     assert asked_total < eligible  # the memo answered some (marking, event) pairs
+    assert hits > 100  # the lam memo answered some consumed multisets
+    assert split > 100  # some modes split inner tokens over two or more slots
 
 
 def test_adapter_memo_ignores_tokens_off_the_input_places():
