@@ -1,40 +1,53 @@
-"""Bipartite matching via augmenting paths."""
+"""Capacitated bipartite matching via augmenting paths."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Sequence
 
 
-def has_perfect_left_matching(adjacency: Sequence[Sequence[int]]) -> bool:
-    """True when every left vertex can be matched to a distinct right vertex.
+def has_perfect_left_matching(adjacency: Sequence[Sequence[int]], capacity: Sequence[int]) -> bool:
+    """True when every left vertex can be matched, right vertex j holding at
+    most capacity[j] of them; adjacency[i] lists left vertex i's right vertices.
 
-    adjacency[i] lists the right-side vertices compatible with left vertex i.
+    A run of left vertices sharing one list object is a group of copies: a
+    right vertex counts the copies it holds per group, and a full one passes
+    the search on to each group once, so the cost is linear in the copies.
     A left vertex with no augmenting path never gains one as the matching
     grows, so the search stops at the first such vertex.
     """
-    match_right: dict[int, int] = {}
-    match_left: dict[int, int] = {}
-    for i in range(len(adjacency)):
-        # Breadth-first search for an augmenting path; via[j] is the left vertex that reached j.
+    held: defaultdict[int, dict[int, int]] = defaultdict(dict)  # right vertex -> group -> copies
+    group = 0  # a group is named by the index of its first left vertex
+    for i, edges in enumerate(adjacency):
+        if edges is not adjacency[group]:
+            group = i
+        # Breadth-first search over groups: via[j] is the group that reached right vertex j,
+        # came[g] the full right vertex that passed the search on to group g.
         via: dict[int, int] = {}
-        queue = deque([i])
+        came: dict[int, int | None] = {group: None}
+        queue = deque([group])
         free = None
         while queue and free is None:
-            u = queue.popleft()
-            for j in adjacency[u]:
+            g = queue.popleft()
+            for j in adjacency[g]:
                 if j not in via:
-                    via[j] = u
-                    if j not in match_right:
+                    via[j] = g
+                    at = held[j]
+                    if sum(at.values()) < capacity[j]:
                         free = j
                         break
-                    queue.append(match_right[j])
+                    for k, copies in at.items():
+                        if copies and k not in came:
+                            came[k] = j
+                            queue.append(k)
         if free is None:
             return False
-        # Flip the path: each right vertex on it takes the left vertex that reached it.
+        # Flip the path: each right vertex on it takes a copy of the group that reached it,
+        # and that copy leaves the right vertex the group came from.
         while free is not None:
-            u = via[free]
-            previous = match_left.get(u)
-            match_right[free], match_left[u] = u, free
-            free = previous
+            g = via[free]
+            held[free][g] = held[free].get(g, 0) + 1
+            free = came[g]
+            if free is not None:
+                held[free][g] -= 1
     return True

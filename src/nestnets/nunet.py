@@ -249,35 +249,42 @@ def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
     return configuration - consumed + Multiset(updated) + Multiset(minted)
 
 
-def _dominators(distinct: list[tuple], wanted: list[tuple]) -> dict[tuple, int]:
-    """Per wanted tuple, a bitmask of the distinct tuples that dominate it.
+def _dominators(distinct: list[tuple], wanted: list[tuple]) -> dict[tuple, list[int]]:
+    """Per wanted tuple, the ascending indices j of the distinct tuples that dominate it.
 
-    Bit j stands for distinct[j].  A mask starts as the tuples of the same
-    arity and, per coordinate, is ANDed with the tuples at least as large
-    there; one sweep in descending order collects those for every wanted
-    tuple at once, growing a single buffer.
+    Bit j of a mask stands for distinct[j].  Per coordinate, one sweep down
+    the column sorted in descending order ANDs the mask of every wanted
+    tuple in a chunk of 1024 with the tuples at least as large there, and
+    the chunks bound how many masks are alive at once.
     """
-    width = (len(distinct) + 7) // 8
-    masks: dict[tuple, int] = {}
+    out: dict[tuple, list[int]] = {}
     for arity in {len(tup) for tup in wanted}:
-        column = [j for j, tup in enumerate(distinct) if len(tup) == arity]
+        same = [j for j, tup in enumerate(distinct) if len(tup) == arity]
+        start = -1 if arity else sum(1 << j for j in same)  # a coordinate sweep sets only this arity
+        columns = [sorted(same, key=lambda j: distinct[j][k], reverse=True) for k in range(arity)]
         goals = [tup for tup in wanted if len(tup) == arity]
-        buf = bytearray(width)
-        for j in column:
-            buf[j >> 3] |= 1 << (j & 7)
-        masks.update(dict.fromkeys(goals, int.from_bytes(buf, "little")))
-        for k in range(arity):
-            column.sort(key=lambda j: distinct[j][k], reverse=True)
-            goals.sort(key=itemgetter(k), reverse=True)
-            buf = bytearray(width)
-            passed, size = 0, len(column)
-            for tup in goals:
-                while passed < size and distinct[column[passed]][k] >= tup[k]:
-                    j = column[passed]
-                    buf[j >> 3] |= 1 << (j & 7)
-                    passed += 1
-                masks[tup] &= int.from_bytes(buf, "little")
-    return masks
+        for at in range(0, len(goals), 1024):
+            chunk = goals[at:at + 1024]
+            masks = dict.fromkeys(chunk, start)
+            for k, column in enumerate(columns):
+                chunk.sort(key=itemgetter(k), reverse=True)
+                buf = bytearray(len(distinct) // 8 + 1)
+                passed, size = 0, len(column)
+                for tup in chunk:
+                    while passed < size and distinct[column[passed]][k] >= tup[k]:
+                        j = column[passed]
+                        buf[j >> 3] |= 1 << (j & 7)
+                        passed += 1
+                    masks[tup] &= int.from_bytes(buf, "little")
+            for tup, mask in masks.items():
+                low = max((mask & -mask).bit_length() - 1, 0)  # the lowest set bit
+                bits = bin(mask >> low)[:1:-1]  # bit low + j at position j
+                j = bits.find("1")
+                out[tup] = ones = []
+                while j >= 0:
+                    ones.append(low + j)
+                    j = bits.find("1", j + 1)
+    return out
 
 
 def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bool:
@@ -288,29 +295,14 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bo
     multiset inclusion is required instead.
 
     The matching's edges come from a dominance index over distinct tuples
-    (_dominators), which holds exactly the pairs the componentwise test
-    accepts.  Copies of a tuple are interchangeable and a matching uses at
-    most len(target) right vertices, so each distinct configuration tuple
-    gets min(count, len(target)) slots, and the occurrences of one target
-    tuple share one edge list; the verdict is the one over all occurrences.
+    (_dominators).  Each distinct configuration tuple is a right vertex
+    holding up to its count; the copies of a target tuple share one list.
     """
     if exact:
         return target.leq(configuration)
-    n = len(target)
-    if n > len(configuration):
+    if len(target) > len(configuration):
         return False
-    rows = configuration.items()
-    goals = target.items()
-    masks = _dominators([tup for tup, _ in rows], [tup for tup, _ in goals])
-    adjacency: list[list[int]] = []
-    for tup, count in goals:
-        bits = bin(masks[tup])[:1:-1]  # bit j at position j
-        slots: list[int] = []
-        j = bits.find("1")
-        while j >= 0:
-            slots.append(j)
-            j = bits.find("1", j + 1)
-        # slot s < min(count, n) of distinct tuple j is right vertex j + s * len(rows)
-        slots += [j + s * len(rows) for j in slots if rows[j][1] > 1 for s in range(1, min(rows[j][1], n))]
-        adjacency.extend([slots] * count)
-    return has_perfect_left_matching(adjacency)
+    rows, goals = configuration.items(), target.items()
+    edges = _dominators([tup for tup, _ in rows], [tup for tup, _ in goals])
+    adjacency = [edges[tup] for tup, count in goals for _ in range(count)]
+    return has_perfect_left_matching(adjacency, [count for _, count in rows])

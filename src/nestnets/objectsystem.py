@@ -394,20 +394,15 @@ def fire(marking: Multiset, mode: EventMode) -> Multiset:
 
 def covers(marking: Multiset, target: Multiset) -> bool:
     """Token-wise domination: an injective, place-respecting assignment of
-    target tokens to marking tokens whose inner markings dominate them."""
-    # Most markings of a search lack some target place's tokens; counting
-    # per place rejects them before any matching is built.
-    missing: dict[str, int] = {}
-    for tok, c in target.items():
-        missing[tok.place] = missing.get(tok.place, 0) + c
-    for tok, c in marking.items():
-        if tok.place in missing:
-            missing[tok.place] -= c
-    if any(c > 0 for c in missing.values()):
-        return False
-    right = marking.elements()
-    adjacency = [
-        [j for j, r in enumerate(right) if l.place == r.place and l.inner.leq(r.inner)]
-        for l in target.elements()
-    ]
-    return has_perfect_left_matching(adjacency)
+    target tokens to marking tokens whose inner markings dominate them.
+
+    Each distinct marking token is one right vertex holding as many target
+    tokens as it has copies; the copies of a target token share one list."""
+    rows = marking.items()
+    adjacency: list[list[int]] = []
+    for tok, count in target.items():
+        fits = [j for j, (r, _) in enumerate(rows) if tok.place == r.place and tok.inner.leq(r.inner)]
+        if not fits:  # most markings of a search fail here, before any matching
+            return False
+        adjacency += [fits] * count
+    return has_perfect_left_matching(adjacency, [count for _, count in rows])

@@ -443,6 +443,32 @@ def test_covers_needs_real_matching():
     assert not covers(m, Multiset([tok("s1", "b"), tok("s1", "b")]))
 
 
+def test_covers_copies():
+    # more copies of one token than the target has tokens
+    assert covers(Multiset([tok("s1", "a", "b")] * 10 + [tok("s1")]),
+                  Multiset([tok("s1", "a"), tok("s1", "b"), tok("s1")]))
+    # the target needs every copy of one token, and one more than there are
+    assert covers(Multiset([tok("s1", "a")] * 3), Multiset([tok("s1", "a")] * 3))
+    assert not covers(Multiset([tok("s1", "a")] * 2 + [tok("s1")] * 5), Multiset([tok("s1", "a")] * 3))
+    # copies on two places: a token never stands in for one on another place
+    m = Multiset([tok("s1", "a")] * 2 + [tok("s2", "a")] * 2)
+    assert covers(m, Multiset([tok("s1", "a")] * 2 + [tok("s2")] * 2))
+    assert not covers(m, Multiset([tok("s1", "a")] * 3 + [tok("s2")]))
+    assert not covers(m, Multiset([tok("s1")] * 2 + [tok("s2")] * 3))
+
+
+def test_covers_many_copies():
+    # thousands of copies of a few tokens; testing every pair of copies took over a minute
+    n = 5_000
+    m = Multiset([tok("s", "a", "b")] * n + [tok("s", "a")] * n)
+    assert covers(m, Multiset([tok("s", "a")] * n + [tok("s", "b")] * n))
+    assert not covers(m, Multiset([tok("s", "a")] * (n - 1) + [tok("s", "b")] * (n + 1)))
+    # the s{ } copies fill s{a c} first, so every s{a} copy moves one of them to s{b}
+    m = Multiset([tok("s", "a", "c")] * n + [tok("s", "b")] * n)
+    assert covers(m, Multiset([tok("s")] * n + [tok("s", "a")] * n))
+    assert not covers(m, Multiset([tok("s")] * n + [tok("s", "a")] * (n - 1) + [tok("s", "c", "c")]))
+
+
 def covers_by_brute_force(marking, target):
     """Domination by trying every injective assignment of target tokens."""
     left = target.elements()

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -338,31 +339,44 @@ def test_covers_slot_cap():
 
 
 def test_perfect_left_matching_matches_brute_force():
-    assert has_perfect_left_matching([])
-    assert not has_perfect_left_matching([[], [0]])  # the first left vertex has no edge
-    assert not has_perfect_left_matching([[0], [0]])
-    assert has_perfect_left_matching([[0, 1], [0]])  # needs an augmenting path
+    assert has_perfect_left_matching([], [])
+    assert not has_perfect_left_matching([[], [0]], [1])  # the first left vertex has no edge
+    assert not has_perfect_left_matching([[0], [0]], [1])
+    assert has_perfect_left_matching([[0, 1], [0]], [1, 1])  # needs an augmenting path
     # left 0 must move off right 0 for left 1, so right 0 stays taken for left 2
-    assert not has_perfect_left_matching([[0, 1, 2], [0], [0]])
-    assert has_perfect_left_matching([[0, 5], [0, 1, 4, 5], [0, 2, 3, 4], [0, 2], [0]])
+    assert not has_perfect_left_matching([[0, 1, 2], [0], [0]], [1, 1, 1])
+    assert has_perfect_left_matching([[0, 5], [0, 1, 4, 5], [0, 2, 3, 4], [0, 2], [0]], [1] * 6)
+    # capacities: a full right vertex passes the search on to the left vertices it holds
+    assert has_perfect_left_matching([[0], [0]], [2])
+    assert not has_perfect_left_matching([[0], [0], [0]], [2])
+    assert not has_perfect_left_matching([[0]], [0])
+    assert has_perfect_left_matching([[0, 1], [0, 1], [0]], [2, 1])  # left 0 or 1 moves to right 1
+    assert not has_perfect_left_matching([[0, 1], [0, 1], [0], [1]], [2, 1])
     rng = random.Random(507)
-    for _ in range(300):
+    for _ in range(3000):
         n_left, n_right = rng.randint(0, 4), rng.randint(0, 5)
         adjacency = [[j for j in range(n_right) if rng.random() < 0.4] for _ in range(n_left)]
+        for i in range(1, n_left):
+            if rng.random() < 0.4:  # a copy of the previous left vertex: one shared list
+                adjacency[i] = adjacency[i - 1]
+        capacity = [rng.randint(0, 3) for _ in range(n_right)]
+        # brute force over capacity[j] distinct slots per right vertex j
+        slots = [j for j in range(n_right) for _ in range(capacity[j])]
         expected = any(
-            all(j in adjacency[i] for i, j in enumerate(chosen))
-            for chosen in itertools.permutations(range(n_right), n_left)
+            all(slots[s] in adjacency[i] for i, s in enumerate(chosen))
+            for chosen in itertools.permutations(range(len(slots)), n_left)
         )
-        assert has_perfect_left_matching(adjacency) == expected, adjacency
+        assert has_perfect_left_matching(adjacency, capacity) == expected, (adjacency, capacity)
 
 
 def test_perfect_left_matching_long_augmenting_paths():
     n = 5 * sys.getrecursionlimit()
+    ones = [1] * n
     # left i first tries right i - 1, held by left i - 1, and so on down the chain
-    assert has_perfect_left_matching([[0]] + [[i - 1, i] for i in range(1, n)])
+    assert has_perfect_left_matching([[0]] + [[i - 1, i] for i in range(1, n)], ones)
     # the last left vertex frees right 0 by moving every other left vertex one step
-    assert has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0]])
-    assert not has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0], [0]])
+    assert has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0]], ones)
+    assert not has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0], [0]], ones)
 
 
 def test_covers_long_chain():
@@ -373,13 +387,40 @@ def test_covers_long_chain():
     assert covers(configuration, Multiset((i, n - i) for i in range(n)))
 
 
+def test_covers_many_copies():
+    # thousands of copies of a few tuples; one right vertex per copy took over a minute
+    n = 5_000
+    configuration = Multiset([(2, 2)] * n + [(1, 1)] * n)
+    assert covers(configuration, Multiset([(1, 1)] * n + [(2, 0)] * n))
+    assert not covers(configuration, Multiset([(1, 1)] * (n - 1) + [(2, 0)] * (n + 1)))
+    # the (1, 1) copies fill (1, 5) first, so every (1, 4) copy moves one of them to (3, 3)
+    configuration = Multiset([(1, 5)] * n + [(3, 3)] * n)
+    assert covers(configuration, Multiset([(1, 1)] * n + [(1, 4)] * n))
+    assert not covers(configuration, Multiset([(1, 1)] * n + [(1, 4)] * (n - 1) + [(4, 0)]))
+
+
+def test_covers_memory_bounded():
+    # one live 10 000-bit mask per target tuple peaked above 14 MB here
+    n = 10_000
+    configuration = Multiset((j + 1, n - j) for j in range(n))
+    target = Multiset((i, n - i) for i in range(n))
+    configuration.items(), target.items()  # the canonical orders are not the check's own memory
+    tracemalloc.start()
+    try:
+        assert covers(configuration, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+
+
 def covers_by_pairs(configuration, target):
     """Domination through a matching over every pair of occurrences."""
     right = configuration.elements()
     return has_perfect_left_matching([
         [j for j, r in enumerate(right) if len(l) == len(r) and all(a <= b for a, b in zip(l, r))]
         for l in target.elements()
-    ])
+    ], [1] * len(right))
 
 
 def test_covers_wide_configuration():
