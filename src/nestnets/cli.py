@@ -40,6 +40,7 @@ from .textio import (
     parse_marking,
     parse_nunet,
     parse_object_system,
+    print_nunet,
     print_object_system,
     sniff_format,
 )

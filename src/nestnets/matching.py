@@ -6,48 +6,47 @@ from collections import defaultdict, deque
 from typing import Sequence
 
 
-def has_perfect_left_matching(adjacency: Sequence[Sequence[int]], capacity: Sequence[int]) -> bool:
+def has_perfect_left_matching(groups: Sequence[tuple[Sequence[int], int]], capacity: Sequence[int]) -> bool:
     """True when every left vertex can be matched, right vertex j holding at
-    most capacity[j] of them; adjacency[i] lists left vertex i's right vertices.
+    most capacity[j] of them; groups[g] = (edges, demand) is demand copies
+    of a left vertex adjacent to the right vertices in edges.
 
-    A run of left vertices sharing one list object is a group of copies: a
-    right vertex counts the copies it holds per group, and a full one passes
-    the search on to each group once, so the cost is linear in the copies.
+    Each search places one copy, and a full right vertex passes it on to
+    each group it holds once: the cost is linear in the copies for fixed
+    numbers of groups and right vertices, and up to quadratic in those.
     A left vertex with no augmenting path never gains one as the matching
     grows, so the search stops at the first such vertex.
     """
     held: defaultdict[int, dict[int, int]] = defaultdict(dict)  # right vertex -> group -> copies
-    group = 0  # a group is named by the index of its first left vertex
-    for i, edges in enumerate(adjacency):
-        if edges is not adjacency[group]:
-            group = i
-        # Breadth-first search over groups: via[j] is the group that reached right vertex j,
-        # came[g] the full right vertex that passed the search on to group g.
-        via: dict[int, int] = {}
-        came: dict[int, int | None] = {group: None}
-        queue = deque([group])
-        free = None
-        while queue and free is None:
-            g = queue.popleft()
-            for j in adjacency[g]:
-                if j not in via:
-                    via[j] = g
-                    at = held[j]
-                    if sum(at.values()) < capacity[j]:
-                        free = j
-                        break
-                    for k, copies in at.items():
-                        if copies and k not in came:
-                            came[k] = j
-                            queue.append(k)
-        if free is None:
-            return False
-        # Flip the path: each right vertex on it takes a copy of the group that reached it,
-        # and that copy leaves the right vertex the group came from.
-        while free is not None:
-            g = via[free]
-            held[free][g] = held[free].get(g, 0) + 1
-            free = came[g]
-            if free is not None:
-                held[free][g] -= 1
+    for group, (_, demand) in enumerate(groups):
+        for _ in range(demand):
+            # Breadth-first search over groups: via[j] is the group that reached right vertex j,
+            # came[g] the full right vertex that passed the search on to group g.
+            via: dict[int, int] = {}
+            came: dict[int, int | None] = {group: None}
+            queue = deque([group])
+            free = None
+            while queue and free is None:
+                g = queue.popleft()
+                for j in groups[g][0]:
+                    if j not in via:
+                        via[j] = g
+                        at = held[j]
+                        if sum(at.values()) < capacity[j]:
+                            free = j
+                            break
+                        for k, copies in at.items():
+                            if copies and k not in came:
+                                came[k] = j
+                                queue.append(k)
+            if free is None:
+                return False
+            # Flip the path: each right vertex on it takes a copy of the group that reached it,
+            # and that copy leaves the right vertex the group came from.
+            while free is not None:
+                g = via[free]
+                held[free][g] = held[free].get(g, 0) + 1
+                free = came[g]
+                if free is not None:
+                    held[free][g] -= 1
     return True

@@ -296,7 +296,7 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bo
 
     The matching's edges come from a dominance index over distinct tuples
     (_dominators).  Each distinct configuration tuple is a right vertex
-    holding up to its count; the copies of a target tuple share one list.
+    holding up to its count, and each distinct target tuple a group of copies.
     """
     if exact:
         return target.leq(configuration)
@@ -304,5 +304,5 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bo
         return False
     rows, goals = configuration.items(), target.items()
     edges = _dominators([tup for tup, _ in rows], [tup for tup, _ in goals])
-    adjacency = [edges[tup] for tup, count in goals for _ in range(count)]
-    return has_perfect_left_matching(adjacency, [count for _, count in rows])
+    groups = [(edges[tup], count) for tup, count in goals]
+    return has_perfect_left_matching(groups, [count for _, count in rows])

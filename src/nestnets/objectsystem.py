@@ -397,12 +397,12 @@ def covers(marking: Multiset, target: Multiset) -> bool:
     target tokens to marking tokens whose inner markings dominate them.
 
     Each distinct marking token is one right vertex holding as many target
-    tokens as it has copies; the copies of a target token share one list."""
+    tokens as it has copies, and each distinct target token a group of copies."""
     rows = marking.items()
-    adjacency: list[list[int]] = []
+    groups: list[tuple[list[int], int]] = []
     for tok, count in target.items():
         fits = [j for j, (r, _) in enumerate(rows) if tok.place == r.place and tok.inner.leq(r.inner)]
         if not fits:  # most markings of a search fail here, before any matching
             return False
-        adjacency += [fits] * count
-    return has_perfect_left_matching(adjacency, [count for _, count in rows])
+        groups.append((fits, count))
+    return has_perfect_left_matching(groups, [count for _, count in rows])

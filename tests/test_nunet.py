@@ -338,45 +338,52 @@ def test_covers_slot_cap():
     assert not covers(Multiset([(1, 1)] * 2 + [(0, 0)] * 5), Multiset([(1, 1)] * 3))
 
 
+def singles(adjacency):
+    """One group of demand 1 per left vertex."""
+    return [(edges, 1) for edges in adjacency]
+
+
 def test_perfect_left_matching_matches_brute_force():
     assert has_perfect_left_matching([], [])
-    assert not has_perfect_left_matching([[], [0]], [1])  # the first left vertex has no edge
-    assert not has_perfect_left_matching([[0], [0]], [1])
-    assert has_perfect_left_matching([[0, 1], [0]], [1, 1])  # needs an augmenting path
+    assert not has_perfect_left_matching(singles([[], [0]]), [1])  # the first left vertex has no edge
+    assert not has_perfect_left_matching(singles([[0], [0]]), [1])
+    assert has_perfect_left_matching(singles([[0, 1], [0]]), [1, 1])  # needs an augmenting path
     # left 0 must move off right 0 for left 1, so right 0 stays taken for left 2
-    assert not has_perfect_left_matching([[0, 1, 2], [0], [0]], [1, 1, 1])
-    assert has_perfect_left_matching([[0, 5], [0, 1, 4, 5], [0, 2, 3, 4], [0, 2], [0]], [1] * 6)
-    # capacities: a full right vertex passes the search on to the left vertices it holds
-    assert has_perfect_left_matching([[0], [0]], [2])
-    assert not has_perfect_left_matching([[0], [0], [0]], [2])
-    assert not has_perfect_left_matching([[0]], [0])
-    assert has_perfect_left_matching([[0, 1], [0, 1], [0]], [2, 1])  # left 0 or 1 moves to right 1
-    assert not has_perfect_left_matching([[0, 1], [0, 1], [0], [1]], [2, 1])
+    assert not has_perfect_left_matching(singles([[0, 1, 2], [0], [0]]), [1, 1, 1])
+    assert has_perfect_left_matching(singles([[0, 5], [0, 1, 4, 5], [0, 2, 3, 4], [0, 2], [0]]), [1] * 6)
+    # capacities: a full right vertex passes the search on to the groups it holds
+    assert has_perfect_left_matching([([0], 2)], [2])
+    assert not has_perfect_left_matching([([0], 3)], [2])
+    assert not has_perfect_left_matching(singles([[0]]), [0])
+    assert has_perfect_left_matching([([0], 0)], [0])  # a group of no copies needs nothing
+    assert has_perfect_left_matching([([0, 1], 2), ([0], 1)], [2, 1])  # a copy moves to right 1
+    assert not has_perfect_left_matching([([0, 1], 2), ([0], 1), ([1], 1)], [2, 1])
     rng = random.Random(507)
     for _ in range(3000):
-        n_left, n_right = rng.randint(0, 4), rng.randint(0, 5)
-        adjacency = [[j for j in range(n_right) if rng.random() < 0.4] for _ in range(n_left)]
-        for i in range(1, n_left):
-            if rng.random() < 0.4:  # a copy of the previous left vertex: one shared list
-                adjacency[i] = adjacency[i - 1]
+        n_right = rng.randint(0, 5)
+        groups = []
+        for _ in range(rng.randint(0, 3)):  # at most 4 copies in all
+            demand = rng.randint(0, min(3, 4 - sum(d for _, d in groups)))
+            groups.append(([j for j in range(n_right) if rng.random() < 0.4], demand))
         capacity = [rng.randint(0, 3) for _ in range(n_right)]
-        # brute force over capacity[j] distinct slots per right vertex j
+        left = [edges for edges, demand in groups for _ in range(demand)]
+        # brute force over one left vertex per copy and capacity[j] distinct slots per right vertex j
         slots = [j for j in range(n_right) for _ in range(capacity[j])]
         expected = any(
-            all(slots[s] in adjacency[i] for i, s in enumerate(chosen))
-            for chosen in itertools.permutations(range(len(slots)), n_left)
+            all(slots[s] in left[i] for i, s in enumerate(chosen))
+            for chosen in itertools.permutations(range(len(slots)), len(left))
         )
-        assert has_perfect_left_matching(adjacency, capacity) == expected, (adjacency, capacity)
+        assert has_perfect_left_matching(groups, capacity) == expected, (groups, capacity)
 
 
 def test_perfect_left_matching_long_augmenting_paths():
     n = 5 * sys.getrecursionlimit()
     ones = [1] * n
     # left i first tries right i - 1, held by left i - 1, and so on down the chain
-    assert has_perfect_left_matching([[0]] + [[i - 1, i] for i in range(1, n)], ones)
+    assert has_perfect_left_matching(singles([[0]] + [[i - 1, i] for i in range(1, n)]), ones)
     # the last left vertex frees right 0 by moving every other left vertex one step
-    assert has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0]], ones)
-    assert not has_perfect_left_matching([[i, i + 1] for i in range(n - 1)] + [[0], [0]], ones)
+    assert has_perfect_left_matching(singles([[i, i + 1] for i in range(n - 1)] + [[0]]), ones)
+    assert not has_perfect_left_matching(singles([[i, i + 1] for i in range(n - 1)] + [[0], [0]]), ones)
 
 
 def test_covers_long_chain():
@@ -417,10 +424,10 @@ def test_covers_memory_bounded():
 def covers_by_pairs(configuration, target):
     """Domination through a matching over every pair of occurrences."""
     right = configuration.elements()
-    return has_perfect_left_matching([
+    return has_perfect_left_matching(singles(
         [j for j, r in enumerate(right) if len(l) == len(r) and all(a <= b for a, b in zip(l, r))]
         for l in target.elements()
-    ], [1] * len(right))
+    ), [1] * len(right))
 
 
 def test_covers_wide_configuration():
