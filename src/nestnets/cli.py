@@ -27,9 +27,9 @@ from .coverability import (
 )
 from .dot import dot_nunet, dot_object_system
 from .multisets import Multiset
-from .nunet import NuNet, fire as nu_fire, validate as nu_validate
+from .nunet import NuNet, fire as nu_fire
 from .petri import NotEnabledError
-from .reduction import encode_config, max_run_length, reduce_nunet
+from .reduction import encode_config, reduce_nunet
 from .textio import (
     InvalidNetError,
     ParseError,
@@ -40,7 +40,6 @@ from .textio import (
     parse_marking,
     parse_nunet,
     parse_object_system,
-    print_nunet,
     print_object_system,
     sniff_format,
 )
@@ -115,7 +114,6 @@ def _build_parser() -> _Parser:
                    help="check randomly drawn configurations instead")
     p.add_argument("--trials", type=_COUNT, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=_COUNT, help="run length bound (default: longest gadget)")
 
     p = sub.add_parser("dot", help="export a net file to Graphviz DOT")
     p.add_argument("file")
@@ -150,18 +148,21 @@ def _nu_labels(net: NuNet, configuration: Multiset, actions):
 
 
 def _formats() -> dict[str, SimpleNamespace]:
-    """How simulate and cover read, run and print each file format: its name;
+    """How the subcommands read, run and print each file format: its name;
     parse(text) -> (net, init, target); parse_state(text, net) -> state;
-    format_state(state) -> text; explore(net, state) -> ExploreResult of every
-    one-step successor; cover(net, initial, goal, args) -> CoverAnswer; and
-    labels(net, state, actions) -> (label, detail) per step, where simulate
-    prints only the label.
+    format_state(state) -> text; describe(net) -> the summary validate
+    prints; dot(net, init) -> Graphviz text; explore(net, state) ->
+    ExploreResult of every one-step successor; cover(net, initial, goal,
+    args) -> CoverAnswer; and labels(net, state, actions) -> (label,
+    detail) per step, where simulate prints only the label.
 
     Built per call, so wrappers put on this module's globals
     (benches/layertrace.py) see the calls."""
     return {
         "nupn": SimpleNamespace(
             name="nupn", parse=parse_nunet, parse_state=parse_config, format_state=format_config,
+            describe=lambda net: f"{net.name} ({len(net.places)} places, {len(net.transitions)} transitions)",
+            dot=lambda net, init: dot_nunet(net),
             explore=lambda net, state: explore_nunet(net, state, 1),
             cover=lambda net, initial, goal, args: cover_nunet(
                 net, initial, goal, args.depth, args.max_states, exact=args.exact),
@@ -169,6 +170,10 @@ def _formats() -> dict[str, SimpleNamespace]:
         ),
         "eos": SimpleNamespace(
             name="eos", parse=parse_object_system, parse_state=parse_marking, format_state=format_marking,
+            describe=lambda system: (  # the implicit empty net does not count
+                f"{system.system.name} ({len(system.system.places)} places, {len(system.events)} events, "
+                f"{len(system.object_nets) - 1} object nets)"),
+            dot=dot_object_system,
             explore=lambda system, state: explore_object_system(system, state, 1),
             cover=lambda system, initial, goal, args: cover_object_system(
                 system, initial, goal, args.depth, args.max_states),
@@ -195,20 +200,13 @@ def _require_init(init: Multiset | None, override: str | None, parse_state, net)
 
 
 def _cmd_validate(args) -> int:
-    text = _read(args.file)
-    kind = sniff_format(text)
-    if kind == "nupn":
-        net, _, _ = parse_nunet(text, require_valid=False)
-        issues = nu_validate(net)
-        if issues:
-            for issue in issues:
-                print(f"violation: {issue}")
-            return EXIT_USAGE
-        print(f"ok: nupn {net.name} ({len(net.places)} places, {len(net.transitions)} transitions)")
-        return EXIT_OK
-    system, _, _ = parse_object_system(text)
-    nets = len(system.object_nets) - 1  # the implicit empty net does not count
-    print(f"ok: eos {system.system.name} ({len(system.system.places)} places, {len(system.events)} events, {nets} object nets)")
+    try:
+        fmt, net, _, _ = _load(args.file)
+    except InvalidNetError as exc:
+        for issue in exc.issues:
+            print(f"violation: {issue}")
+        return EXIT_USAGE
+    print(f"ok: {fmt.name} {fmt.describe(net)}")
     return EXIT_OK
 
 
@@ -289,11 +287,6 @@ def _random_config(rng: random.Random, arity: int) -> Multiset:
 def _cmd_check_lemma(args) -> int:
     net, init, _ = parse_nunet(_read(args.file))
     reduction = reduce_nunet(net)
-    longest = max_run_length(net)
-    if args.max_len is not None and args.max_len < longest and net.transitions:
-        # a transition whose gadget run is longer would look unmatched: a false FAIL
-        raise ValueError(f"--max-len must be at least {longest}, the longest gadget run, got {args.max_len}")
-    max_len = longest if args.max_len is None else args.max_len
     if args.randomized:
         rng = random.Random(args.seed)
         configs = [_random_config(rng, len(net.places)) for _ in range(args.trials)]
@@ -305,7 +298,7 @@ def _cmd_check_lemma(args) -> int:
         raise ValueError("no configuration: pass --config, --random, or a file with an init line")
     failures = 0
     for cfg in configs:
-        report = check_simulation(net, cfg, max_len, reduction)
+        report = check_simulation(net, cfg, reduction=reduction)
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} config {format_config(cfg) or '(empty)'}: "
               f"{len(report.s1)} successor(s), {report.run_count} run(s)")
@@ -321,7 +314,7 @@ def _cmd_check_lemma(args) -> int:
 
 def _cmd_dot(args) -> int:
     fmt, net, init, _ = _load(args.file)
-    _write(args.output, dot_nunet(net) if fmt.name == "nupn" else dot_object_system(net, init))
+    _write(args.output, fmt.dot(net, init))
     return EXIT_OK
 
 

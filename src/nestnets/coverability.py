@@ -318,14 +318,12 @@ class SimulationReport:
 
 
 def check_simulation(
-    net: NuNet,
-    configuration: Multiset,
-    max_len: int | None = None,
-    reduction: Reduction | None = None,
+    net: NuNet, configuration: Multiset, *, reduction: Reduction | None = None
 ) -> SimulationReport:
+    """The configuration's successors against the decoded endpoints of the
+    compiled runs, which the net bounds by its longest gadget run."""
     red = reduction if reduction is not None else reduce_nunet(net)
-    if max_len is None:
-        max_len = max_run_length(net)
+    max_len = max_run_length(net)
     s1 = {nxt for _, nxt in _name_net_kind(net).successors(configuration)}
     runs = minimal_runs(red, encode_config(net, configuration), max_len)
     s2 = {decode_config(net, end) for _, end in runs}

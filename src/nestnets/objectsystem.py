@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
@@ -38,31 +38,14 @@ def idle_id(place: str) -> str:
     return IDLE_PREFIX + place
 
 
-@dataclass(frozen=True)
-class NestedToken:
+class NestedToken(NamedTuple):
     """A token of the system net: a place plus an inner marking."""
 
     place: str
     inner: Multiset
 
-    # Computed once per token on first use; the token is frozen, and these
-    # class defaults are not fields, so equality and repr ignore them.
-    _key = None
-    _hash = None
-
     def sort_key(self) -> tuple:
-        key = self._key
-        if key is None:
-            key = (self.place, self.inner.sort_key())
-            object.__setattr__(self, "_key", key)
-        return key
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.place, self.inner))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return (self.place, self.inner.sort_key())
 
     def __str__(self) -> str:
         entries = " ".join(f"{p}:{c}" for p, c in self.inner.items())
@@ -300,6 +283,8 @@ class ObjectSystem:
         modes of one choice of consumed tokens depend only on the event and
         those tokens, so they are stored there under (event, lam) and reused.
         """
+        if lam_memo is None:
+            lam_memo = {}  # never hits: distinct selections consume distinct multisets
         tpre = self.system.pre_of(event.transition)
 
         by_place = _by_place(marking)
@@ -317,13 +302,10 @@ class ObjectSystem:
                 # tokens on different places never coincide
                 lam_counts.update(sel)
             lam = Multiset.from_counts(lam_counts)
-            if lam_memo is None:
-                per_lam.append(self._modes_consuming(event, lam))
-            else:
-                found = lam_memo.get((event, lam))
-                if found is None:
-                    found = lam_memo[(event, lam)] = self._modes_consuming(event, lam)
-                per_lam.append(found)
+            found = lam_memo.get((event, lam))
+            if found is None:
+                found = lam_memo[(event, lam)] = self._modes_consuming(event, lam)
+            per_lam.append(found)
         # distinct selections consume distinct multisets, so no two keys tie
         per_lam.sort(key=lambda entry: entry[0])
         return [mode for _, modes in per_lam for mode in modes]

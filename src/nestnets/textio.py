@@ -154,11 +154,10 @@ def _parse_trans(
 # -- name nets -----------------------------------------------------------------
 
 
-def parse_nunet(text: str, require_valid: bool = True) -> tuple[NuNet, Multiset | None, Multiset | None]:
+def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
     """Parse a name net file; returns (net, init, target).
 
-    With require_valid (the default) validation failures raise
-    InvalidNetError; syntax errors always raise ParseError.
+    Syntax errors raise ParseError and validation failures InvalidNetError.
     """
     cur = _Cursor(text)
     lineno, tokens = cur.next()
@@ -213,10 +212,9 @@ def parse_nunet(text: str, require_valid: bool = True) -> tuple[NuNet, Multiset 
         net = NuNet(name, places, transitions, standard, fresh, inflow, outflow)
     except ValueError as exc:
         raise ParseError(header_line, str(exc)) from None
-    if require_valid:
-        issues = validate(net)
-        if issues:
-            raise InvalidNetError(issues)
+    issues = validate(net)
+    if issues:
+        raise InvalidNetError(issues)
     return net, init, target
 
 

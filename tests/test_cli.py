@@ -258,21 +258,13 @@ def test_check_lemma_random_deterministic(capsys):
     assert first.count("PASS") == 6
 
 
-@pytest.mark.parametrize("extra, max_len", [((), 0), ((), 4), (("--config", "[0 1]"), 0)])
-def test_check_lemma_max_len_below_longest_run(capsys, extra, max_len):
-    # No compiled run finishes in fewer steps than d0's gadget (5): [1 0] used
-    # to get a false FAIL (exit 4) and [0 1], which has no successor, a PASS.
-    code, out, err = run(capsys, "check-lemma", D0, *extra, "--max-len", str(max_len))
-    assert (code, out) == (1, "")
-    assert err == f"error: --max-len must be at least 5, the longest gadget run, got {max_len}\n"
-
-
 def test_check_lemma_max_len_at_longest_run(capsys, tmp_path):
-    assert run(capsys, "check-lemma", D0, "--max-len", "5") == (
+    # runs are walked up to the longest gadget run, 5 steps for d0
+    assert run(capsys, "check-lemma", D0) == (
         0, "PASS config [1 0]: 1 successor(s), 2 run(s)\n", "")
     f = tmp_path / "still.nupn"
     f.write_text("nupn n\nplaces p\ninit [1]\n")  # no transition, so no gadget to wait for
-    assert run(capsys, "check-lemma", str(f), "--max-len", "0") == (
+    assert run(capsys, "check-lemma", str(f)) == (
         0, "PASS config [1]: 0 successor(s), 0 run(s)\n", "")
 
 
@@ -350,10 +342,8 @@ def test_usage_errors_exit_one():
     (["cover-transfer", D0, "--target", "[0 1]", "--depth", "-2"], "--depth", 0, -2),
     (["cover-transfer", D0, "--target", "[0 1]", "--depth", "1", "--max-states", "0"], "--max-states", 1, 0),
     (["check-lemma", D0, "--random", "--trials", "-2"], "--trials", 0, -2),
-    (["check-lemma", D0, "--config", "[1 0]", "--max-len", "-1"], "--max-len", 0, -1),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv, option, low, value):
-    # check-lemma --max-len -1 used to report a false FAIL (exit 4)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1

@@ -1,5 +1,7 @@
 """Bounded exploration, coverability queries, and the two compiler checks."""
 
+import random
+
 import pytest
 
 from nestnets import (
@@ -23,6 +25,7 @@ from nestnets import (
 )
 from nestnets.nunet import config
 from nestnets.reduction import max_run_length, reduce_nunet
+from netgen import random_config, random_nupn
 
 
 def d0():
@@ -213,6 +216,23 @@ def test_minimal_runs_budget():
     start = encode_config(net, config(net, [(1, 0), (2, 0)]))
     with pytest.raises(SearchLimitReached):
         minimal_runs(red, start, max_run_length(net), max_expansions=3)
+
+
+def test_no_run_outlasts_the_longest_gadget():
+    # check_simulation walks max_run_length(net) steps: a longer bound finds
+    # no further run, so the bound is the net's and not the caller's
+    rng = random.Random(5)
+    runs = 0
+    for _ in range(60):
+        net = random_nupn(rng)
+        red = reduce_nunet(net)
+        longest = max_run_length(net)
+        for _ in range(3):
+            enc = encode_config(net, random_config(rng, net))
+            found = minimal_runs(red, enc, longest)
+            assert found == minimal_runs(red, enc, 2 * longest + 3)
+            runs += len(found)
+    assert runs > 100
 
 
 # -- the one-step equivalence check -----------------------------------------------

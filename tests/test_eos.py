@@ -101,8 +101,8 @@ def test_marking_validation():
 
 
 def test_equal_tokens_hash_equal():
-    # The hash is computed once per token; equal tokens built apart must
-    # agree, before and after their sort keys are cached.
+    # Equal tokens built apart must agree, before and after their sort keys
+    # are taken.
     rng = random.Random(12)
     for _ in range(50):
         place, inner = rng.choice(["s1", "s2"]), rng.choices("ab", k=rng.randint(0, 4))
@@ -113,6 +113,20 @@ def test_equal_tokens_hash_equal():
         c.sort_key()  # keyed before it is ever hashed
         assert a == b == c and hash(a) == hash(b) == hash(c)
         assert Multiset([a]) == Multiset([b]) and hash(Multiset([a])) == hash(Multiset([b]))
+
+
+def test_token_is_an_immutable_record():
+    a = tok("s1", "b", "a", "a")
+    with pytest.raises(AttributeError):
+        a.place = "s2"
+    with pytest.raises(AttributeError):
+        a.inner = EMPTY
+    assert repr(a) == "NestedToken(place='s1', inner=Multiset(['a', 'a', 'b']))"
+    assert str(a) == "s1 { a:2 b:1 }" and str(tok("s3")) == "s3 { }"
+    b = NestedToken("s1", Multiset.from_counts({"b": 1, "a": 2}))
+    assert a is not b and a == b and hash(a) == hash(b)
+    m = Multiset([a, b, tok("s3")])
+    assert m.items() == [(a, 2), (tok("s3"), 1)] and m.count(b) == 2
 
 
 # -- projections -------------------------------------------------------------
