@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Sequence
 
 
@@ -17,7 +17,8 @@ def has_perfect_left_matching(groups: Sequence[tuple[Sequence[int], int]], capac
     A left vertex with no augmenting path never gains one as the matching
     grows, so the search stops at the first such vertex.
     """
-    held: defaultdict[int, dict[int, int]] = defaultdict(dict)  # right vertex -> group -> copies
+    load = [0] * len(capacity)  # copies held per right vertex
+    held: list = [None] * len(capacity)  # right vertex -> its one group while it holds one, else group -> copies
     for group, (_, demand) in enumerate(groups):
         for _ in range(demand):
             # Breadth-first search over groups: via[j] is the group that reached right vertex j,
@@ -31,12 +32,14 @@ def has_perfect_left_matching(groups: Sequence[tuple[Sequence[int], int]], capac
                 for j in groups[g][0]:
                     if j not in via:
                         via[j] = g
-                        at = held[j]
-                        if sum(at.values()) < capacity[j]:
+                        if load[j] < capacity[j]:
                             free = j
                             break
-                        for k, copies in at.items():
-                            if copies and k not in came:
+                        at = held[j]
+                        if at is None:  # a right vertex of no capacity holds nothing
+                            continue
+                        for k in [at] if isinstance(at, int) else [k for k, copies in at.items() if copies]:
+                            if k not in came:
                                 came[k] = j
                                 queue.append(k)
             if free is None:
@@ -44,9 +47,17 @@ def has_perfect_left_matching(groups: Sequence[tuple[Sequence[int], int]], capac
             # Flip the path: each right vertex on it takes a copy of the group that reached it,
             # and that copy leaves the right vertex the group came from.
             while free is not None:
-                g = via[free]
-                held[free][g] = held[free].get(g, 0) + 1
+                g, at = via[free], held[free]
+                if not load[free] or at == g:
+                    held[free] = g
+                elif isinstance(at, int):
+                    held[free] = {at: load[free], g: 1}
+                else:
+                    at[g] = at.get(g, 0) + 1
+                load[free] += 1
                 free = came[g]
                 if free is not None:
-                    held[free][g] -= 1
+                    load[free] -= 1
+                    if isinstance(held[free], dict):
+                        held[free][g] -= 1
     return True

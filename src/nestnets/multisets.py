@@ -130,6 +130,20 @@ class Multiset:
                     del counts[e]
         return Multiset._of(counts)
 
+    def replace(self, consumed: Iterable[tuple[Any, int]], produced: Iterable[tuple[Any, int]]) -> "Multiset":
+        """Take the consumed (element, count) pairs out and add the produced ones, copying the counts
+        once.  Counts are positive; unlike ``-`` this never truncates, but raises ValueError."""
+        counts = dict(self._counts)
+        for e, c in consumed:
+            left = counts.pop(e, 0) - c
+            if left < 0:
+                raise ValueError(f"cannot take {c} of {e!r} out of {self}")
+            if left:
+                counts[e] = left
+        for e, c in produced:
+            counts[e] = counts.get(e, 0) + c
+        return Multiset._of(counts)
+
     def __mul__(self, n: int) -> "Multiset":
         if not isinstance(n, int):
             return NotImplemented

@@ -85,32 +85,40 @@ class NuNet:
         self.inflow = normalize("input", inflow)
         self.outflow = normalize("output", outflow)
 
+        # Per transition, derived once from its arcs, as a net never changes: its variables in declaration
+        # order, its standard ones, its fresh ones, and variable -> (in vector, out vector).
+        self._tables: dict[str, tuple] = {}
+        self._zeros = ((0,) * len(self.places),) * 2  # the vectors of a variable not on t
+        for t in self.transitions:
+            arcs = (self.inflow[t], self.outflow[t])
+            used = dict.fromkeys(v for flow in arcs for ms in flow.values() for v in ms.support())
+            xs, fresh = [tuple(v for v in group if v in used) for group in (self.standard_vars, self.fresh_vars)]
+            vectors = {v: tuple(tuple(flow.get(p, EMPTY).count(v) for p in self.places) for flow in arcs) for v in used}
+            self._tables[t] = (xs + fresh, xs, fresh, vectors)
+
     # -- per-transition views ------------------------------------------------
 
-    def _arc_vars(self, flow: dict[str, dict[str, Multiset]], t: str) -> set[str]:
-        if t not in self.inflow:
+    def _table(self, t: str) -> tuple:
+        if t not in self._tables:
             raise ValueError(f"net {self.name}: unknown transition {t!r}")
-        return {v for ms in flow[t].values() for v in ms.support()}
+        return self._tables[t]
 
     def vars_of(self, t: str) -> tuple[str, ...]:
         """Variables on any arc of t, in declaration order."""
-        used = self._arc_vars(self.inflow, t) | self._arc_vars(self.outflow, t)
-        return tuple(v for v in self.standard_vars + self.fresh_vars if v in used)
+        return self._table(t)[0]
 
     def standard_vars_of(self, t: str) -> tuple[str, ...]:
-        return tuple(v for v in self.vars_of(t) if v in set(self.standard_vars))
+        return self._table(t)[1]
 
     def fresh_vars_of(self, t: str) -> tuple[str, ...]:
-        return tuple(v for v in self.vars_of(t) if v in set(self.fresh_vars))
+        return self._table(t)[2]
 
     def in_vector(self, t: str, v: str) -> tuple[int, ...]:
         """Tokens demanded per place by variable v on t's input arcs."""
-        arcs = self.inflow[t]
-        return tuple(arcs.get(p, EMPTY).count(v) for p in self.places)
+        return self._table(t)[3].get(v, self._zeros)[0]
 
     def out_vector(self, t: str, v: str) -> tuple[int, ...]:
-        arcs = self.outflow[t]
-        return tuple(arcs.get(p, EMPTY).count(v) for p in self.places)
+        return self._table(t)[3].get(v, self._zeros)[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NuNet):
@@ -143,8 +151,8 @@ def validate(net: NuNet) -> list[str]:
     fresh = set(net.fresh_vars)
     creating: dict[str, str] = {}
     for t in net.transitions:
-        in_vars = net._arc_vars(net.inflow, t)
-        out_vars = net._arc_vars(net.outflow, t)
+        in_vars = {v for v in net.vars_of(t) if any(net.in_vector(t, v))}
+        out_vars = {v for v in net.vars_of(t) if any(net.out_vector(t, v))}
         for v in sorted(in_vars & fresh):
             issues.append(f"transition {t}: fresh variable {v} on an input arc")
         for v in sorted((out_vars - fresh) - in_vars):
@@ -218,9 +226,8 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
     first: dict[tuple, int] = {}
     for i, tup in enumerate(occ):
         first.setdefault(tup, i)
-    xs = net.standard_vars_of(t)
-    demands = [net.in_vector(t, x) for x in xs]
-    choices = [[tup for tup in first if all(d <= m for d, m in zip(demand, tup))] for demand in demands]
+    _, xs, _, vectors = net._table(t)
+    choices = [[tup for tup in first if all(d <= m for d, m in zip(vectors[x][0], tup))] for x in xs]
     modes = []
     for picks in itertools.product(*choices):
         idxs = [first[tup] + picks[:k].count(tup) for k, tup in enumerate(picks)]
@@ -232,7 +239,7 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
 def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
     """One step: update the picked tuples, mint the fresh ones."""
     occ = configuration.elements()
-    xs = net.standard_vars_of(t)
+    _, xs, fresh, vectors = net._table(t)
     if sorted(v for v, _ in mode.assignment) != sorted(xs):
         raise NotEnabledError(f"mode variables {mode.assignment} do not match {t!r} (expects {xs})")
     idxs = [i for _, i in mode.assignment]
@@ -240,13 +247,11 @@ def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
         raise NotEnabledError(f"mode {mode.assignment} does not pick distinct occurrences of {configuration}")
     updated = []
     for x, i in mode.assignment:
-        din, dout = net.in_vector(t, x), net.out_vector(t, x)
-        if any(d > m for d, m in zip(din, occ[i])):
-            raise NotEnabledError(f"occurrence {occ[i]} cannot pay {t!r}'s demand for {x}")
-        updated.append(tuple(m - d + o for m, d, o in zip(occ[i], din, dout)))
-    consumed = Multiset(occ[i] for i in idxs)
-    minted = [net.out_vector(t, v) for v in net.fresh_vars_of(t)]
-    return configuration - consumed + Multiset(updated) + Multiset(minted)
+        (din, dout), tup = vectors[x], occ[i]
+        if any(d > m for d, m in zip(din, tup)):
+            raise NotEnabledError(f"occurrence {tup} cannot pay {t!r}'s demand for {x}")
+        updated.append((tuple(m - d + o for m, d, o in zip(tup, din, dout)), 1))
+    return configuration.replace([(occ[i], 1) for i in idxs], updated + [(vectors[v][1], 1) for v in fresh])
 
 
 def _dominators(distinct: list[tuple], wanted: list[tuple]) -> dict[tuple, list[int]]:

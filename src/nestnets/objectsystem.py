@@ -371,7 +371,7 @@ def fire(marking: Multiset, mode: EventMode) -> Multiset:
     """Replace the consumed tokens with the produced ones."""
     if not mode.lam.leq(marking):
         raise NotEnabledError(f"event {mode.event.name!r}: consumed tokens {mode.lam} not present in {marking}")
-    return marking - mode.lam + mode.rho
+    return marking.replace(mode.lam.items(), mode.rho.items())
 
 
 def covers(marking: Multiset, target: Multiset) -> bool:

@@ -281,6 +281,8 @@ def test_modes_match_oracle():
             assert len(keys) == len(modes)  # no duplicate modes
             succ = {fire(m, mode).sort_key() for mode in modes}
             assert succ == eos_successors(sys_, m, ev)
+            for mode in modes:  # one pass over the counts, as the difference and sum of whole multisets
+                assert fire(m, mode) == m - mode.lam + mode.rho
 
 
 def counting_modes(sys_, returned=None):

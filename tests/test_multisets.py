@@ -160,6 +160,44 @@ def test_canonical_views_after_each_operation(pair, n, order):
         assert views_of(ms, order[::-1]) == expected
 
 
+@given(
+    st.one_of(st.tuples(string_elements, string_elements, string_elements),
+              st.tuples(tuple_elements, tuple_elements, tuple_elements)),
+    st.permutations(["items", "support", "elements", "iter", "sort_key"]),
+)
+def test_replace_is_sub_then_add(triple, order):
+    xs, ys, zs = triple
+    a, b, c = Multiset(xs + ys), Multiset(ys), Multiset(zs)  # b <= a, so a - b truncates nothing
+    views_before = views_of(a, order)  # a's canonical order is cached before the call
+    for consumed, produced in ((b, c), (b, b), (b, EMPTY), (EMPTY, c), (a, c), (c, c)):
+        if not consumed.leq(a):
+            continue
+        got, expected = a.replace(consumed.items(), produced.items()), a - consumed + produced
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert got.sort_key() == expected.sort_key()
+        assert views_of(got, order) == canonical_views(Counter(xs + ys) - Counter(consumed.elements())
+                                                       + Counter(produced.elements()))
+    # the counts are copied: the receiver is unchanged, its cached views too
+    assert a == Multiset(xs + ys)
+    assert views_of(a, order[::-1]) == {name: views_before[name] for name in order[::-1]}
+    # consumed pairs that repeat an element, and elements both consumed and produced
+    assert a.replace([(e, 1) for e in ys], []) == Multiset(xs)
+    if c.leq(a - b):
+        assert a.replace(b.items() + c.items(), c.items()) == a - b
+
+
+@given(multisets, st.integers(1, 3))
+def test_replace_never_truncates(a, extra):
+    for e, count in a.items():
+        with pytest.raises(ValueError):
+            a.replace([(e, count + extra)], [])
+    absent = "z" if not a or isinstance(a.support()[0], str) else (9, 9)
+    with pytest.raises(ValueError):
+        a.replace([(absent, extra)], [(absent, extra)])  # producing it too does not help
+    assert absent not in a
+
+
 @given(multisets, st.sampled_from(["items", "support", "elements"]))
 def test_returned_lists_are_copies(a, view):
     expected_items = a.items()

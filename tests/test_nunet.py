@@ -45,6 +45,64 @@ def test_construction_rejections():
         NuNet("n", ("p",), ("t",), ("x",), inflow={"t": {"zz": Multiset(["x"])}})
     with pytest.raises(ValueError):  # undeclared variable on an arc
         NuNet("n", ("p",), ("t",), inflow={"t": {"p": Multiset(["x"])}})
+    net = d0()
+    for look_up in (net.vars_of, net.standard_vars_of, net.fresh_vars_of,
+                    lambda t: net.in_vector(t, "x"), lambda t: net.out_vector(t, "x")):
+        with pytest.raises(ValueError, match="^net d0: unknown transition 'nope'$"):
+            look_up("nope")
+
+
+def table_from_arcs(net, t):
+    """Each transition's variables, standard and fresh variables, and every
+    declared variable's (in vector, out vector), read off the arcs."""
+    used = {v for flow in (net.inflow, net.outflow) for ms in flow[t].values() for v in ms.support()}
+    vs = tuple(v for v in net.standard_vars + net.fresh_vars if v in used)
+    vectors = {
+        v: tuple(tuple(flow[t].get(p, Multiset()).count(v) for p in net.places) for flow in (net.inflow, net.outflow))
+        for v in net.standard_vars + net.fresh_vars
+    }
+    return (vs, tuple(v for v in vs if v in set(net.standard_vars)),
+            tuple(v for v in vs if v in set(net.fresh_vars)), vectors)
+
+
+def table_of(net, t):
+    """The same, through the net's accessors."""
+    vectors = {v: (net.in_vector(t, v), net.out_vector(t, v)) for v in net.standard_vars + net.fresh_vars}
+    return net.vars_of(t), net.standard_vars_of(t), net.fresh_vars_of(t), vectors
+
+
+def test_transition_tables_match_the_arcs():
+    rng = random.Random(1301)
+    for _ in range(300):
+        net = random_nupn(rng)
+        for t in net.transitions:
+            expected = table_from_arcs(net, t)
+            assert table_of(net, t) == expected, (net, t)
+            for v in net.standard_vars + net.fresh_vars:
+                if v not in expected[0]:  # a variable not on t demands and yields nothing
+                    assert (net.in_vector(t, v), net.out_vector(t, v)) == ((0,) * len(net.places),) * 2
+
+    zero = ((0, 0), (0, 0))
+    # standard variables declared out of alphabetical order keep their declaration order
+    backwards = NuNet("n", ("p", "q"), ("t", "u"), standard_vars=("z", "a", "m"),
+                      inflow={"t": {"p": Multiset(["m", "z"]), "q": Multiset(["a", "a"])},
+                              "u": {"q": Multiset(["m", "z"])}},
+                      outflow={"t": {"q": Multiset(["m"])}})
+    assert table_of(backwards, "t") == (("z", "a", "m"), ("z", "a", "m"), (), {
+        "z": ((1, 0), (0, 0)), "a": ((0, 2), (0, 0)), "m": ((1, 0), (0, 1))})
+    assert table_of(backwards, "u") == (("z", "m"), ("z", "m"), (), {
+        "z": ((0, 1), (0, 0)), "a": zero, "m": ((0, 1), (0, 0))})
+    # a declared variable that no arc uses, a transition with only a fresh
+    # variable, and one with no arcs at all
+    net = NuNet("n", ("p", "q"), ("t", "make", "idle"), standard_vars=("x", "unused"), fresh_vars=("nu",),
+                inflow={"t": {"p": Multiset(["x"])}},
+                outflow={"t": {"q": Multiset(["x"])}, "make": {"q": Multiset(["nu"])}})
+    assert table_of(net, "t") == (("x",), ("x",), (), {"x": ((1, 0), (0, 1)), "unused": zero, "nu": zero})
+    assert table_of(net, "make") == (("nu",), (), ("nu",), {"x": zero, "unused": zero, "nu": (zero[0], (0, 1))})
+    assert table_of(net, "idle") == ((), (), (), {"x": zero, "unused": zero, "nu": zero})
+    for n in (backwards, net):
+        for t in n.transitions:
+            assert table_of(n, t) == table_from_arcs(n, t)
 
 
 def test_validate_clauses():
@@ -249,6 +307,54 @@ def test_fire_rejects_malformed_modes():
                 outflow={"t": {"p": Multiset(["x", "y"])}})
     with pytest.raises(NotEnabledError):  # occurrences must be distinct
         fire(two, config(two, [(2,), (2,)]), "t", NuMode.make([("x", 0), ("y", 0)]))
+
+
+def fire_by_composition(net, configuration, t, mode):
+    """A step as the difference and sums of whole multisets, with vectors read off the arcs."""
+    _, _, fresh, vectors = table_from_arcs(net, t)
+    occ = configuration.elements()
+    consumed = Multiset(occ[i] for _, i in mode.assignment)
+    updated = [tuple(m - d + o for m, d, o in zip(occ[i], *vectors[x])) for x, i in mode.assignment]
+    minted = [vectors[v][1] for v in fresh]
+    return configuration - consumed + Multiset(updated) + Multiset(minted)
+
+
+def test_fire_matches_composition():
+    rng = random.Random(1302)
+    steps = 0
+    for _ in range(200):
+        net = random_nupn(rng)
+        for _ in range(3):
+            base = random_config(rng, net, max_tuples=4)
+            cfg = base + Multiset(rng.choices(base.elements(), k=rng.randint(0, 2))) if base else base
+            for t in net.transitions:
+                for mode in enabled_modes(net, cfg, t):
+                    got, expected = fire(net, cfg, t, mode), fire_by_composition(net, cfg, t, mode)
+                    assert got == expected, (net, cfg, t, mode)
+                    assert hash(got) == hash(expected)
+                    assert got.sort_key() == expected.sort_key()
+                    steps += 1
+    assert steps > 1000
+
+
+def test_fire_takes_directly_built_unsorted_modes():
+    two = NuNet("n", ("p",), ("t",), standard_vars=("y", "x"),
+                inflow={"t": {"p": Multiset(["x", "y", "y"])}},
+                outflow={"t": {"p": Multiset(["x"])}})
+    cfg = config(two, [(1,), (2,), (3,)])
+    unsorted = NuMode((("y", 1), ("x", 2)))  # not built by NuMode.make, so not sorted
+    expected = config(two, [(1,), (0,), (3,)])
+    assert fire(two, cfg, "t", unsorted) == expected
+    assert fire(two, cfg, "t", NuMode.make(unsorted.assignment)) == expected
+    # each check keeps its message, and the first failing one speaks
+    with pytest.raises(NotEnabledError, match="do not match 't'"):
+        fire(two, cfg, "t", NuMode((("y", 9), ("z", 9))))
+    with pytest.raises(NotEnabledError, match="does not pick distinct occurrences"):
+        fire(two, cfg, "t", NuMode((("y", 1), ("x", 1))))
+    with pytest.raises(NotEnabledError, match="does not pick distinct occurrences"):
+        fire(two, cfg, "t", NuMode((("y", 0), ("x", 3))))
+    with pytest.raises(NotEnabledError, match=r"occurrence \(1,\) cannot pay 't'.s demand for y"):
+        fire(two, cfg, "t", NuMode((("y", 0), ("x", 1))))
 
 
 # -- the embedding order ---------------------------------------------------------
