@@ -60,7 +60,11 @@ print("one-step check:", "pass" if report.passed else "FAIL")
 print("  source successors :", [str(c) for c in report.s1])
 print("  decoded run ends  :", [str(c) for c in report.s2])
 print("  runs found        :", report.run_count, "(interleavings count separately)")
-for seq, _ in minimal_runs(red, enc, max_run_length(net)):
+# check_simulation counts the runs over distinct markings; listing them
+# one by one must find as many.
+runs = minimal_runs(red, enc, max_run_length(net))
+assert len(runs) == report.run_count, (len(runs), report.run_count)
+for seq, _ in runs:
     print("   ", " -> ".join(mode.event.name for mode in seq))
 print()
 

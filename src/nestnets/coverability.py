@@ -301,12 +301,53 @@ def minimal_runs(
     return runs
 
 
+def _gadget_ends(
+    reduction: Reduction,
+    start: Multiset,
+    max_len: int,
+    max_expansions: int = DEFAULT_MAX_STATES,
+) -> tuple[frozenset[Multiset], int]:
+    """The endpoints of minimal_runs(reduction, start, max_len) and the
+    number of its runs, without listing them.
+
+    The walk goes forward one step at a time.  A layer maps each
+    control-free marking reached in that many steps to the number of run
+    prefixes that reach it, so a marking is expanded once per step count
+    however many interleavings lead to it, and a run ending on an encoding
+    adds its prefix count.  max_expansions bounds those expansions.
+    """
+    net = reduction.net
+    successors = _object_system_kind(reduction.system).successors
+    if decode_config(net, start) is None:
+        raise ValueError("start marking is not an encoding of a configuration")
+    control = NestedToken(SELECT_TRAN, EMPTY)
+    ends: set[Multiset] = set()
+    runs = expanded = 0
+    layer = {start: 1}
+    for _ in range(max_len):
+        following: dict[Multiset, int] = {}
+        for marking, prefixes in layer.items():
+            expanded += 1
+            if expanded > max_expansions:
+                raise SearchLimitReached("max_expansions", max_expansions)
+            for _, nxt in successors(marking):
+                if control not in nxt:
+                    following[nxt] = following.get(nxt, 0) + prefixes
+                elif nxt in ends or decode_config(net, nxt) is not None:
+                    ends.add(nxt)
+                    runs += prefixes
+        layer = following
+    return frozenset(ends), runs
+
+
 @dataclass
 class SimulationReport:
     """One-step equivalence check between a net and its compilation.
 
     s1: successors of the configuration in the source net.
     s2: decoded endpoints of the minimal runs of the compiled system.
+    run_count: how many minimal runs there are, interleavings counted
+    separately (counted over distinct markings, not listed).
     """
 
     configuration: Multiset
@@ -325,13 +366,13 @@ def check_simulation(
     red = reduction if reduction is not None else reduce_nunet(net)
     max_len = max_run_length(net)
     s1 = {nxt for _, nxt in _name_net_kind(net).successors(configuration)}
-    runs = minimal_runs(red, encode_config(net, configuration), max_len)
-    s2 = {decode_config(net, end) for _, end in runs}
+    ends, run_count = _gadget_ends(red, encode_config(net, configuration), max_len)
+    s2 = {decode_config(net, end) for end in ends}
     return SimulationReport(
         configuration,
         sorted(s1, key=Multiset.sort_key),
         sorted(s2, key=Multiset.sort_key),
-        len(runs),
+        run_count,
         max_len,
         s1 == s2,
     )

@@ -1,6 +1,8 @@
 """Bounded exploration, coverability queries, and the two compiler checks."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -23,7 +25,8 @@ from nestnets import (
     replay_nunet,
     replay_object_system,
 )
-from nestnets.nunet import config
+from nestnets.coverability import _gadget_ends
+from nestnets.nunet import config, validate
 from nestnets.reduction import max_run_length, reduce_nunet
 from netgen import random_config, random_nupn
 
@@ -233,6 +236,101 @@ def test_no_run_outlasts_the_longest_gadget():
             assert found == minimal_runs(red, enc, 2 * longest + 3)
             runs += len(found)
     assert runs > 100
+
+
+# -- gadget endpoints and run counts without listing the runs ---------------------
+
+def _wide_nupn(rng, n_std):
+    """A net shaped like netgen's random_nupn, with n_std standard variables."""
+    places = ("p0", "p1", "p2")
+    standard = tuple(f"x{i}" for i in range(n_std))
+    inflow, outflow = {}, {}
+    for t in ("t0", "t1"):
+        t_in, t_out = {}, {}
+        for x in standard:
+            if rng.random() < 0.8:
+                t_in.setdefault(rng.choice(places), []).append(x)
+                for _ in range(rng.randint(0, 1)):
+                    t_out.setdefault(rng.choice(places), []).append(x)
+        free = [p for p in places if p not in t_out]
+        if free and rng.random() < 0.6:
+            t_out[rng.choice(free)] = ["nu"]
+        inflow[t] = {p: Multiset(vs) for p, vs in t_in.items()}
+        outflow[t] = {p: Multiset(vs) for p, vs in t_out.items()}
+    net = NuNet(f"w{n_std}", places, ("t0", "t1"), standard_vars=standard,
+                fresh_vars=("nu",), inflow=inflow, outflow=outflow)
+    assert validate(net) == []
+    return net
+
+
+def _assert_ends_match_minimal_runs(red, start):
+    """The endpoint search against the listing referee; returns the run count."""
+    runs = minimal_runs(red, start, max_run_length(red.net))
+    ends, count = _gadget_ends(red, start, max_run_length(red.net))
+    assert ends == {end for _, end in runs}
+    assert count == len(runs)
+    return count
+
+
+def test_gadget_ends_match_minimal_runs():
+    rng = random.Random(14)
+    runs = 0
+    for _ in range(60):
+        net = random_nupn(rng)
+        red = reduce_nunet(net)
+        for _ in range(3):
+            runs += _assert_ends_match_minimal_runs(red, encode_config(net, random_config(rng, net)))
+    assert runs > 100
+    # enough names to bind every standard variable; four variables list
+    # thousands of runs per configuration, so they get fewer configurations
+    wide = 0
+    for n_std, configurations in ((3, 3), (3, 3), (3, 3), (4, 2)):
+        net = _wide_nupn(rng, n_std)
+        red = reduce_nunet(net)
+        for _ in range(configurations):
+            cfg = Multiset()
+            while len(cfg) < n_std:
+                cfg = random_config(rng, net, max_tuples=n_std + 1)
+            wide += _assert_ends_match_minimal_runs(red, encode_config(net, cfg))
+            assert check_simulation(net, cfg, reduction=red).passed
+    assert wide > 1000
+
+
+def test_gadget_ends_d0():
+    net = d0()
+    red = reduce_nunet(net)
+    start = encode_config(net, config(net, [(1, 0)]))
+    # two interleavings of the object updates share their last marking
+    assert _gadget_ends(red, start, max_run_length(net)) == (
+        frozenset({encode_config(net, config(net, [(0, 1), (1, 0)]))}), 2)
+    assert _gadget_ends(red, start, max_run_length(net) - 1) == (frozenset(), 0)
+    with pytest.raises(ValueError):
+        _gadget_ends(red, Multiset(), 5)
+    with pytest.raises(SearchLimitReached) as hit:
+        _gadget_ends(red, start, max_run_length(net), max_expansions=3)
+    assert hit.value.limit == "max_expansions"
+
+
+def _distinct_names_net(k):
+    """One transition moving k standard variables from p to q and minting one name."""
+    xs = tuple(f"x{i}" for i in range(k))
+    return NuNet(f"k{k}", ("p", "q"), ("t",), standard_vars=xs, fresh_vars=("nu",),
+                 inflow={"t": {"p": Multiset(xs)}},
+                 outflow={"t": {"q": Multiset(xs), "p": Multiset(["nu"])}})
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_check_simulation_counts_factorial_runs(k):
+    # k! ways to pick k distinct names, then (k+1)! orders of the commuting
+    # object updates; listing the runs would take seconds at k = 5
+    net = _distinct_names_net(k)
+    began = time.perf_counter()
+    report = check_simulation(net, config(net, [(1, i) for i in range(k)]))
+    elapsed = time.perf_counter() - began
+    assert report.passed
+    assert len(report.s2) == 1
+    assert report.run_count == math.factorial(k) * math.factorial(k + 1)
+    assert elapsed < 5
 
 
 # -- the one-step equivalence check -----------------------------------------------
