@@ -9,6 +9,7 @@ cap hit, 4 simulation or transfer check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -74,6 +75,7 @@ _COUNT = _int_at_least(0)
 _MAX_STATES = _int_at_least(1)  # a search always holds its initial state
 
 
+@functools.cache  # built on the first main call, then shared: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nestnets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

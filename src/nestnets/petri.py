@@ -8,6 +8,7 @@ its only marking is the empty multiset.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 from .multisets import EMPTY, Multiset
@@ -17,10 +18,13 @@ class NotEnabledError(Exception):
     """Raised when a transition or event is fired without being enabled."""
 
 
+_RESERVED = re.compile(r"[\s{}\[\]#;]")  # \s matches exactly the characters str.isspace accepts
+
+
 def _check_id(kind: str, name: str) -> None:
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} id must be a non-empty string, got {name!r}")
-    if any(ch.isspace() for ch in name) or any(ch in name for ch in "{}[]#;"):
+    if _RESERVED.search(name):
         raise ValueError(f"{kind} id {name!r} contains whitespace or reserved characters")
 
 

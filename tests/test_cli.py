@@ -6,9 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nestnets
+from nestnets import cli
 from nestnets.cli import main
+from nestnets.coverability import DEFAULT_MAX_STATES
 
 DATA = pathlib.Path(__file__).parent / "data"
 D0 = str(DATA / "d0.nupn")
@@ -17,7 +21,11 @@ COURIER = str(DATA / "courier.eos")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -375,3 +383,101 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok: nupn d0")
+
+
+# -- one parser per process ------------------------------------------------------
+
+def test_parser_built_on_first_call_then_shared():
+    package_root = str(pathlib.Path(nestnets.__file__).resolve().parent.parent)
+    script = (
+        "import contextlib, io, sys\n"
+        "import nestnets.cli as cli\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(['validate', {D0!r}]) for _ in range(6)]\n"
+        "info = cli._build_parser.cache_info()\n"
+        "print(codes, info.misses, info.hits, info.currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n[0, 0, 0, 0, 0, 0] 1 5 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", D0, "--target", "[0 1]", "--depth", "2"],
+    ["check-lemma", GAP, "--random", "--trials", "3", "--seed", "4"],
+    ["cover", D0, "--target", "[0 1]", "--depth", "x"],
+    ["frobnicate"],
+    ["simulate", "--help"],
+])
+def test_same_argv_twice_same_outcome(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv)
+
+
+def test_defaults_do_not_carry_over(capsys, monkeypatch):
+    seen = []
+
+    def spy(net, initial, goal, depth, max_states, exact=False):
+        seen.append(max_states)
+        return cover_nunet(net, initial, goal, depth, max_states, exact=exact)
+
+    cover_nunet = cli.cover_nunet
+    monkeypatch.setattr(cli, "cover_nunet", spy)
+    query = ["cover", D0, "--target", "[0 1]", "--depth", "2"]
+    assert run(capsys, *query, "--max-states", "7")[0] == 0
+    assert run(capsys, *query)[0] == 0
+    assert seen == [7, DEFAULT_MAX_STATES]
+
+
+def test_usage_error_after_good_call_reaches_its_stderr(capsys):
+    assert run(capsys, "validate", D0)[0] == 0
+    code, out, err = run(capsys, "cover", D0, "--depth", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: nestnets cover [-h] --target TARGET")
+    assert err.endswith("nestnets cover: error: the following arguments are required: --target\n")
+
+
+def test_help_after_good_call_reaches_its_stdout(capsys):
+    assert run(capsys, "validate", D0)[0] == 0
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: nestnets [-h]")
+    assert "check-lemma" in out
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+# Each data file with a target that parses against the unmutated net.
+FUZZ_FILES = {D0: "[0 1]", GAP: "[1 0] [1 0]", COURIER: "outbox { final:1 }"}
+FUZZ_PIECES = [" ", "\n", "\t", "{", "}", "[", "]", ":", "::", "=", "#", ";", "-", "0", "1", "9",
+               "x", "p", "nu", "draft", "in ", "out ", "trans t\n", "end\n", "places ", "init ",
+               "target ", "event ", "with ", "idle", "é", "\x00"]
+mutation = st.tuples(st.sampled_from(["delete", "insert", "copy"]), st.integers(0, 10**6),
+                     st.integers(1, 12), st.sampled_from(FUZZ_PIECES))
+
+
+def mutate(text, mutations):
+    for kind, at, width, piece in mutations:
+        at %= len(text) + 1
+        if kind == "delete":
+            text = text[:at] + text[at + width:]
+        elif kind == "insert":
+            text = text[:at] + piece + text[at:]
+        else:
+            text = text[:at] + text[at:at + width] + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, report_multiple_bugs=False,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.sampled_from(sorted(FUZZ_FILES)), mutations=st.lists(mutation, min_size=1, max_size=4))
+def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path, source, mutations):
+    path = tmp_path / pathlib.Path(source).name
+    path.write_text(mutate(pathlib.Path(source).read_text(encoding="utf-8"), mutations), encoding="utf-8")
+    f = str(path)
+    for argv in (["validate", f], ["cover", f, "--target", FUZZ_FILES[source], "--depth", "3",
+                 "--max-states", "200"], ["check-lemma", f], ["simulate", f], ["dot", f], ["reduce", f]):
+        code = main(argv)
+        capsys.readouterr()
+        assert 0 <= code <= 4, argv

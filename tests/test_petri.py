@@ -3,6 +3,7 @@
 import pytest
 
 from nestnets import BLACK, BLACK_ID, EMPTY, Multiset, NotEnabledError, PetriNet
+from nestnets.petri import _check_id
 
 
 def two_place_net():
@@ -77,3 +78,31 @@ def test_equality():
                      post={"t": Multiset(["q"]), "u": Multiset(["q", "q"])})
     assert two_place_net() != other
     assert two_place_net() != "n"
+
+
+def check_id_by_chars(kind, name):
+    """The id check as two per-character scans, the reference for `_check_id`."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"{kind} id must be a non-empty string, got {name!r}")
+    if any(ch.isspace() for ch in name) or any(ch in name for ch in "{}[]#;"):
+        raise ValueError(f"{kind} id {name!r} contains whitespace or reserved characters")
+
+
+def rejections(check, names):
+    """name -> the ValueError text, for each name the check rejects."""
+    out = {}
+    for name in names:
+        try:
+            check("place", name)
+        except ValueError as exc:
+            out[name] = str(exc)
+    return out
+
+
+def test_check_id_matches_per_character_scan():
+    chars = [chr(code) for code in range(0x110000)]  # 29 are str.isspace, 6 are {}[]#;
+    for names, rejects in ((chars, 29 + 6), ([f"a{ch}b" for ch in chars], 29 + 6),
+                           (["", None, 7, "ok", "a b", "x;", " "], 6)):
+        rejected = rejections(_check_id, names)
+        assert rejected == rejections(check_id_by_chars, names)
+        assert len(rejected) == rejects
