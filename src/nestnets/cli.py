@@ -111,9 +111,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-lemma", help="verify one-step simulation on configurations")
     p.add_argument("file")
-    p.add_argument("--config", help="configuration to check (default: the file's init)")
-    p.add_argument("--random", action="store_true", dest="randomized",
-                   help="check randomly drawn configurations instead")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--config", help="configuration to check (default: the file's init)")
+    which.add_argument("--random", action="store_true", dest="randomized",
+                       help="check randomly drawn configurations instead")
     p.add_argument("--trials", type=_COUNT, default=20)
     p.add_argument("--seed", type=int, default=0)
 

@@ -21,12 +21,12 @@ from functools import reduce
 from types import SimpleNamespace
 from typing import Any, Iterable
 
-from .multisets import EMPTY, Multiset
+from .multisets import Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
-from .objectsystem import EventMode, NestedToken, ObjectSystem, _by_place, covers as os_covers, fire as os_fire
+from .objectsystem import EventMode, ObjectSystem, _by_place, covers as os_covers, fire as os_fire
 from .petri import NotEnabledError
 from .reduction import (
-    SELECT_TRAN,
+    CONTROL,
     Reduction,
     decode_config,
     encode_config,
@@ -166,7 +166,7 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
     """Configurations, (transition, NuMode) actions, embedding order (inclusion when exact)."""
     return SimpleNamespace(
-        validate=lambda configuration: nu_config(net, configuration.elements()),  # arity check
+        validate=lambda configuration: nu_config(net, configuration.support()),  # the vectors fit the net
         successors=lambda configuration: [
             ((t, mode), nu_fire(net, configuration, t, mode))
             for t in net.transitions
@@ -281,8 +281,6 @@ def minimal_runs(
         raise ValueError("start marking is not an encoding of a configuration")
     runs: list[tuple[list[EventMode], Multiset]] = []
     budget = [max_expansions]
-    # selectTran is black-typed, so this is the only token it can hold
-    control = NestedToken(SELECT_TRAN, EMPTY)
 
     def walk(marking: Multiset, prefix: list[EventMode]) -> None:
         if len(prefix) >= max_len:
@@ -291,7 +289,7 @@ def minimal_runs(
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchLimitReached("max_expansions", max_expansions)
-            if control in nxt:
+            if CONTROL in nxt:
                 if decode_config(net, nxt) is not None:
                     runs.append((prefix + [mode], nxt))
             else:
@@ -320,7 +318,6 @@ def _gadget_ends(
     successors = _object_system_kind(reduction.system).successors
     if decode_config(net, start) is None:
         raise ValueError("start marking is not an encoding of a configuration")
-    control = NestedToken(SELECT_TRAN, EMPTY)
     ends: set[Multiset] = set()
     runs = expanded = 0
     layer = {start: 1}
@@ -331,7 +328,7 @@ def _gadget_ends(
             if expanded > max_expansions:
                 raise SearchLimitReached("max_expansions", max_expansions)
             for _, nxt in successors(marking):
-                if control not in nxt:
+                if CONTROL not in nxt:
                     following[nxt] = following.get(nxt, 0) + prefixes
                 elif nxt in ends or decode_config(net, nxt) is not None:
                     ends.add(nxt)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
-from .petri import NotEnabledError, _check_id
+from .petri import NotEnabledError, _claim_ids
 
 Flow = Mapping[str, Mapping[str, Multiset]]
 
@@ -44,26 +44,15 @@ class NuNet:
         inflow: Flow | None = None,
         outflow: Flow | None = None,
     ):
-        _check_id("net", name)
         self.name = name
         self.places = tuple(places)
         self.transitions = tuple(transitions)
         self.standard_vars = tuple(standard_vars)
         self.fresh_vars = tuple(fresh_vars)
-        ids: dict[str, str] = {}
-        for kind, group in (
-            ("place", self.places),
-            ("transition", self.transitions),
-            ("variable", self.standard_vars + self.fresh_vars),
-        ):
-            for i in group:
-                _check_id(kind, i)
-                if i in ids:
-                    if ids[i] == kind:
-                        raise ValueError(f"net {name}: duplicate {kind} id {i!r}")
-                    raise ValueError(f"net {name}: id {i!r} used as both {ids[i]} and {kind}")
-                ids[i] = kind
-
+        _claim_ids(
+            name,
+            (("place", self.places), ("transition", self.transitions), ("variable", self.standard_vars + self.fresh_vars)),
+        )
         all_vars = set(self.standard_vars) | set(self.fresh_vars)
         place_set = set(self.places)
 
@@ -189,14 +178,20 @@ def size(net: NuNet) -> int:
 
 
 def config(net: NuNet, vectors: Iterable[Sequence[int]]) -> Multiset:
-    """Build a configuration, checking arity and non-negativity."""
+    """Build a configuration, checking that every vector fits the net: one
+    non-negative int per place.  The one check of this rule; the parsers and
+    the compiler call it too."""
     out = []
+    arity = len(net.places)
     for vec in vectors:
         tup = tuple(vec)
-        if len(tup) != len(net.places):
-            raise ValueError(f"vector {tup} has arity {len(tup)}, net has {len(net.places)} places")
-        if any(not isinstance(k, int) or k < 0 for k in tup):
-            raise ValueError(f"vector {tup} has a negative or non-integer entry")
+        if len(tup) != arity:
+            raise ValueError(f"vector {list(tup)} has arity {len(tup)}, net has {arity} places")
+        for k in tup:
+            if not isinstance(k, int):
+                raise ValueError(f"non-integer entry in {list(tup)}")
+            if k < 0:
+                raise ValueError(f"negative entry in {list(tup)}")
         out.append(tup)
     return Multiset(out)
 

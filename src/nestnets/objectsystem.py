@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
-from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet
+from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet, _claim_ids
 
 IDLE_PREFIX = "idle::"
 
@@ -176,17 +176,10 @@ class ObjectSystem:
         self.system = with_idles
 
         # ids must be globally unique across the system net and all object nets
-        seen: dict[str, str] = {}
-        def claim(ids: Iterable[str], owner: str) -> None:
-            for i in ids:
-                if i in seen:
-                    raise ValueError(f"id {i!r} used by both {seen[i]} and {owner}")
-                seen[i] = owner
-        claim(self.system.places, "system places")
-        claim(self.system.transitions, "system transitions")
+        groups = [("system place", self.system.places), ("system transition", self.system.transitions)]
         for net in nets.values():
-            claim(net.places, f"object net {net.name} places")
-            claim(net.transitions, f"object net {net.name} transitions")
+            groups += [(f"place of object net {net.name}", net.places), (f"transition of object net {net.name}", net.transitions)]
+        _claim_ids(system.name, groups)
 
         self.typing = dict(typing)
         if set(self.typing) != set(system.places):

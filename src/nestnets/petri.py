@@ -28,6 +28,20 @@ def _check_id(kind: str, name: str) -> None:
         raise ValueError(f"{kind} id {name!r} contains whitespace or reserved characters")
 
 
+def _claim_ids(net: str, groups: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Check the net id and every id of each (kind, ids) group, and that no id is used twice in the net."""
+    _check_id("net", net)
+    seen: dict[str, str] = {}
+    for kind, ids in groups:
+        for i in ids:
+            _check_id(kind, i)
+            if i in seen:
+                if seen[i] == kind:
+                    raise ValueError(f"net {net}: duplicate {kind} id {i!r}")
+                raise ValueError(f"net {net}: id {i!r} used as both {seen[i]} and {kind}")
+            seen[i] = kind
+
+
 class PetriNet:
     """A net with multiset arcs.
 
@@ -43,22 +57,12 @@ class PetriNet:
         pre: Mapping[str, Multiset] | None = None,
         post: Mapping[str, Multiset] | None = None,
     ):
-        _check_id("net", name)
         self.name = name
         self.places = tuple(places)
         self.transitions = tuple(transitions)
+        _claim_ids(name, (("place", self.places), ("transition", self.transitions)))
         place_set = set(self.places)
         trans_set = set(self.transitions)
-        for p in self.places:
-            _check_id("place", p)
-        for t in self.transitions:
-            _check_id("transition", t)
-        if len(place_set) != len(self.places):
-            raise ValueError(f"net {name}: duplicate place ids")
-        if len(trans_set) != len(self.transitions):
-            raise ValueError(f"net {name}: duplicate transition ids")
-        if place_set & trans_set:
-            raise ValueError(f"net {name}: place and transition ids overlap: {sorted(place_set & trans_set)}")
         self.pre: dict[str, Multiset] = {t: EMPTY for t in self.transitions}
         self.post: dict[str, Multiset] = {t: EMPTY for t in self.transitions}
         for label, given, store in (("pre", pre or {}, self.pre), ("post", post or {}, self.post)):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .multisets import EMPTY, Multiset
-from .nunet import NuNet, validate
+from .nunet import NuNet, config, validate
 from .objectsystem import Event, NestedToken, ObjectSystem
 from .petri import BLACK_ID, PetriNet
 
@@ -33,6 +33,9 @@ SELECT_TRAN = "selectTran"
 DATA_ID = "data"
 
 _RESERVED = {SIM, SELECT_TRAN, DATA_ID, BLACK_ID}
+
+# The control token: selectTran is black-typed, so this is the only token it can hold.
+CONTROL = NestedToken(SELECT_TRAN, EMPTY)
 
 
 @dataclass(frozen=True)
@@ -192,12 +195,10 @@ def reduce_nunet(net: NuNet) -> Reduction:
 
 def encode_config(net: NuNet, configuration: Multiset) -> Multiset:
     """One object token per name, plus the control token."""
-    tokens = []
+    config(net, configuration.support())  # raises unless every vector fits the net
+    tokens = [CONTROL]
     for vec, c in configuration.items():
-        if len(vec) != len(net.places):
-            raise ValueError(f"vector {vec} has arity {len(vec)}, net has {len(net.places)} places")
         tokens.extend([NestedToken(SIM, _vector_marking(net, vec))] * c)
-    tokens.append(NestedToken(SELECT_TRAN, EMPTY))
     return Multiset(tokens)
 
 
@@ -207,9 +208,7 @@ def decode_config(net: NuNet, marking: Multiset) -> Multiset | None:
     vectors = []
     control = 0
     for tok, c in marking.items():
-        if tok.place == SELECT_TRAN:
-            if tok.inner:
-                return None
+        if tok == CONTROL:
             control += c
         elif tok.place == SIM:
             vec = [0] * len(net.places)

@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .multisets import EMPTY, Multiset
-from .nunet import NuNet, validate
+from .nunet import NuNet, config, validate
 from .objectsystem import IDLE_PREFIX, Event, NestedToken, ObjectSystem
 from .petri import BLACK_ID, PetriNet
 from .reduction import Reduction
@@ -121,15 +121,12 @@ def _parse_vectors(lineno: int, tokens: list[str]) -> list[tuple[int, ...]]:
     return vectors
 
 
-def _parse_config_line(lineno: int, tokens: list[str], arity: int) -> Multiset:
-    """A configuration: [..] vectors of the given arity, no negative entries."""
-    vectors = _parse_vectors(lineno, tokens)
-    for vec in vectors:
-        if len(vec) != arity:
-            raise ParseError(lineno, f"vector {list(vec)} has arity {len(vec)}, net has {arity} places")
-        if any(k < 0 for k in vec):
-            raise ParseError(lineno, f"negative entry in {list(vec)}")
-    return Multiset(vectors)
+def _config_at(lineno: int, net: NuNet, vectors: list[tuple[int, ...]]) -> Multiset:
+    """The configuration of vectors read at lineno, or why they do not fit the net."""
+    try:
+        return config(net, vectors)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _parse_trans(
@@ -173,8 +170,7 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
     transitions: list[str] = []
     inflow: dict[str, dict[str, Multiset]] = {}
     outflow: dict[str, dict[str, Multiset]] = {}
-    init: Multiset | None = None
-    target: Multiset | None = None
+    given: list[tuple[str, int, list[tuple[int, ...]]]] = []  # init/target lines, fitted once the places are known
     header_line = lineno
 
     def parse_arc(lineno: int, tokens: list[str], t: str) -> None:
@@ -201,10 +197,8 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
             fresh.extend(tokens[1:])
         elif head == "trans":
             _parse_trans(cur, lineno, tokens, transitions, parse_arc)
-        elif head == "init":
-            init = _parse_config_line(lineno, tokens[1:], len(places))
-        elif head == "target":
-            target = _parse_config_line(lineno, tokens[1:], len(places))
+        elif head in ("init", "target"):
+            given.append((head, lineno, _parse_vectors(lineno, tokens[1:])))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
@@ -212,10 +206,11 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
         net = NuNet(name, places, transitions, standard, fresh, inflow, outflow)
     except ValueError as exc:
         raise ParseError(header_line, str(exc)) from None
+    configs = {head: _config_at(lineno, net, vectors) for head, lineno, vectors in given}  # the last line wins
     issues = validate(net)
     if issues:
         raise InvalidNetError(issues)
-    return net, init, target
+    return net, configs.get("init"), configs.get("target")
 
 
 def format_config(configuration: Multiset) -> str:
@@ -224,7 +219,7 @@ def format_config(configuration: Multiset) -> str:
 
 def parse_config(text: str, net: NuNet) -> Multiset:
     """Inline configuration: zero or more [..] vectors."""
-    return _parse_config_line(1, [tok for _, tokens in _tokenize(text) for tok in tokens], len(net.places))
+    return _config_at(1, net, _parse_vectors(1, [tok for _, tokens in _tokenize(text) for tok in tokens]))
 
 
 def print_nunet(net: NuNet, init: Multiset | None = None, target: Multiset | None = None) -> str:

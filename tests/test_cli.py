@@ -61,6 +61,17 @@ def test_validate_parse_error(capsys, tmp_path):
     assert err == "error: line 3: unexpected keyword 'wat'\n"
 
 
+@pytest.mark.parametrize("text, code, out, err", [
+    # init is fitted to every place of the file, not to those declared before it
+    ("nupn n\nplaces p\ninit [1]\nplaces q\n", 1, "", "error: line 3: vector [1] has arity 1, net has 2 places\n"),
+    ("nupn n\ninit [1]\nplaces p\n", 0, "ok: nupn n (1 places, 0 transitions)\n", ""),
+])
+def test_validate_fits_init_to_the_whole_net(capsys, tmp_path, text, code, out, err):
+    f = tmp_path / "late.nupn"
+    f.write_text(text)
+    assert run(capsys, "validate", str(f)) == (code, out, err)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.nupn")
     assert code == 1
@@ -282,6 +293,23 @@ def test_check_lemma_requires_configuration(capsys, tmp_path):
     code, _, err = run(capsys, "check-lemma", str(f))
     assert code == 1
     assert "no configuration" in err
+
+
+def test_check_lemma_reports_a_broken_compiler(capsys, monkeypatch):
+    from test_coverability import _reduction_with_broken_fire
+
+    monkeypatch.setattr(cli, "reduce_nunet", _reduction_with_broken_fire)
+    assert run(capsys, "check-lemma", D0) == (4, (
+        "FAIL config [1 0]: 1 successor(s), 0 run(s)\n"
+        "  source successors:   [0 1] [1 0]\n"
+        "  compiled endpoints:  (none)\n"
+        "1/1 configurations failed\n"), "")
+
+
+def test_check_lemma_config_and_random_exclude_each_other(capsys):
+    code, out, err = run(capsys, "check-lemma", D0, "--config", "[1 0]", "--random")
+    assert (code, out) == (1, "")
+    assert err.endswith("nestnets check-lemma: error: argument --random: not allowed with argument --config\n")
 
 
 # -- dot ---------------------------------------------------------------------------

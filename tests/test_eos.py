@@ -68,8 +68,14 @@ def test_construction_rejections():
         ObjectSystem(base, [PetriNet("black", places=("a",))], typing)
     with pytest.raises(ValueError):  # duplicate object net ids
         ObjectSystem(base, [inner, PetriNet("inner")], typing)
-    with pytest.raises(ValueError):  # id shared between system and object net
+    with pytest.raises(ValueError, match="^net outer: id 's1' used as both system place and place of object net other$"):
         ObjectSystem(base, [PetriNet("other", places=("s1",))], typing)
+    with pytest.raises(ValueError, match="^net outer: id 'u' used as both transition of object net inner and "
+                                         "transition of object net other$"):
+        ObjectSystem(base, [PetriNet("inner", ("a",), ("u",)), PetriNet("other", transitions=("u",))], typing)
+    with pytest.raises(ValueError, match="^net outer: id 'idle::s1' used as both system transition and "
+                                         "place of object net other$"):  # idle ids are synthesized, yet taken
+        ObjectSystem(base, [inner, PetriNet("other", places=("idle::s1",))], typing)
     with pytest.raises(ValueError):  # typing misses a place
         ObjectSystem(base, [inner], {})
     with pytest.raises(ValueError):  # typing names an unknown net

@@ -37,8 +37,10 @@ def d0():
 # -- construction and validity -------------------------------------------------
 
 def test_construction_rejections():
-    with pytest.raises(ValueError):  # id reuse across classes
+    with pytest.raises(ValueError, match="^net n: id 'p' used as both place and variable$"):
         NuNet("n", ("p",), ("t",), standard_vars=("p",))
+    with pytest.raises(ValueError, match="^net n: duplicate variable id 'x'$"):  # standard and fresh share one kind
+        NuNet("n", ("p",), ("t",), ("x",), ("x",))
     with pytest.raises(ValueError):  # unknown transition in flow
         NuNet("n", ("p",), ("t",), ("x",), inflow={"zz": {"p": Multiset(["x"])}})
     with pytest.raises(ValueError):  # unknown place in flow
@@ -148,6 +150,8 @@ def test_config_checks():
         config(net, [(1,)])
     with pytest.raises(ValueError):
         config(net, [(1, -1)])
+    with pytest.raises(ValueError, match=r"^non-integer entry in \[1\.5, 0\]$"):
+        config(net, [(1.5, 0)])
 
 
 # -- modes ---------------------------------------------------------------------

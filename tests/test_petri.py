@@ -46,11 +46,11 @@ def test_firing_multisets_of_transitions():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^net n: duplicate place id 'p'$"):
         PetriNet("n", places=("p", "p"), transitions=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^net n: id 'p' used as both place and transition$"):
         PetriNet("n", places=("p",), transitions=("p",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^net n: duplicate transition id 't'$"):
         PetriNet("n", places=("p",), transitions=("t", "t"))
     with pytest.raises(ValueError):
         PetriNet("n", places=("p",), transitions=("t",), pre={"t": Multiset(["zz"])})

@@ -228,6 +228,7 @@ def test_decode_rejects_non_encodings():
     assert decode_config(net, enc + control) is None          # two control tokens
     assert decode_config(net, sim_tok + Multiset([NestedToken(SELECT_TRAN, Multiset(["p"]))])) is None
     assert decode_config(net, enc + Multiset([NestedToken("t1::report", EMPTY)])) is None
+    assert decode_config(net, control + Multiset([NestedToken(SIM, Multiset(["zz"]))])) is None  # foreign place
     assert decode_config(net, Multiset()) is None
 
 

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -111,6 +112,9 @@ def test_parse_errors_carry_positions():
         ("nupn n\nplaces p q\nvars x\ntrans t\n in p : x\n out q : x\nend\ninit [1]\n",
          "line 8: vector [1] has arity 1, net has 2 places"),
         ("nupn n\nplaces p\ninit [-1]\n", "line 3: negative entry in [-1]"),
+        ("nupn n\nplaces p\ninit [1]\nplaces q\n", "line 3: vector [1] has arity 1, net has 2 places"),
+        ("nupn n\ninit [x]\nplaces p p\n", "line 2: expected an integer, got 'x'"),  # syntax in file order,
+        ("nupn n\nplaces p p\ninit [1]\n", "line 1: net n: duplicate place id 'p'"),  # then the net, then fit
         ("nupn n\nplaces p\nvars x\ntrans t\n in p : x\n", "line 5: unexpected end of file"),
         ("nupn n\nplaces p\ntrans t\nend\ntrans t\nend\n", "line 5: duplicate transition 't'"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in p : y\nend\n", "line 5: undeclared variable 'y'"),
@@ -125,6 +129,29 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_config("[1 0]\n[0 1 2]", net)
     assert str(err.value) == "line 1: vector [0, 1, 2] has arity 3, net has 2 places"
+
+
+@pytest.mark.parametrize("vector, message", [
+    ((1,), "vector [1] has arity 1, net has 2 places"),
+    ((1, -1), "negative entry in [1, -1]"),
+])
+def test_one_fit_rule_one_message(vector, message):
+    net, _, _ = parse_nunet(d0_text())
+    text = "[" + " ".join(map(str, vector)) + "]"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        config(net, [vector])
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        encode_config(net, Multiset([vector]))
+    with pytest.raises(ParseError, match=rf"^line 1: {re.escape(message)}$"):
+        parse_config(text, net)
+    with pytest.raises(ParseError, match=rf"^line 11: {re.escape(message)}$"):
+        parse_nunet(d0_text().replace("init [1 0]", "init " + text))
+
+
+def test_init_and_target_may_precede_places():
+    net, init, target = parse_nunet("nupn n\ntarget [0]\ninit [1]\nplaces p\ninit [2] [3]\n")
+    assert net.places == ("p",)
+    assert (init, target) == (Multiset([(2,), (3,)]), Multiset([(0,)]))  # the last init line wins
 
 
 def test_invalid_net_raises_or_parses():
