@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
-from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet, _claim_ids
+from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet, _claim_ids, _IdError
 
 IDLE_PREFIX = "idle::"
 
@@ -151,21 +151,20 @@ class ObjectSystem:
         typing: Mapping[str, str],
         events: Iterable[Event] = (),
     ):
-        nets: dict[str, PetriNet] = {}
-        for net in object_nets:
-            if net.name in nets:
-                raise ValueError(f"duplicate object net id {net.name!r}")
-            nets[net.name] = net
-        if BLACK_ID in nets:
-            if nets[BLACK_ID].places or nets[BLACK_ID].transitions:
-                raise ValueError(f"object net id {BLACK_ID!r} is reserved for the empty net")
-        else:
-            nets[BLACK_ID] = BLACK
+        object_nets = tuple(object_nets)
+        _claim_ids(system.name, [("object net", [net.name for net in object_nets])])
+        nets = {net.name: net for net in object_nets}
+        for n in nets:
+            if ":" in n:  # files type a system place as <place>:<object net>
+                message = f"object net id {n!r} contains ':', the separator of a place and its type"
+                raise _IdError(message, "object net", n)
+        if nets.setdefault(BLACK_ID, BLACK) != BLACK:
+            raise _IdError(f"object net id {BLACK_ID!r} is reserved for the empty net", "object net", BLACK_ID)
         self.object_nets = nets
 
         for t in system.transitions:
             if t.startswith(IDLE_PREFIX):
-                raise ValueError(f"transition id {t!r} uses the reserved idle namespace")
+                raise _IdError(f"transition id {t!r} uses the reserved idle namespace", "system transition", t)
         with_idles = PetriNet(
             system.name,
             system.places,
@@ -191,11 +190,8 @@ class ObjectSystem:
                 raise ValueError(f"place {p!r} typed by unknown object net {n!r}")
 
         self.events = tuple(events)
-        names = set()
+        _claim_ids(system.name, [("event", [e.name for e in self.events])])
         for e in self.events:
-            if e.name in names:
-                raise ValueError(f"duplicate event name {e.name!r}")
-            names.add(e.name)
             self.system.pre_of(e.transition)  # raises on unknown transition
             fires_something = False
             for net_id, ms in e.theta:

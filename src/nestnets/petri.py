@@ -21,15 +21,26 @@ class NotEnabledError(Exception):
 _RESERVED = re.compile(r"[\s{}\[\]#;]")  # \s matches exactly the characters str.isspace accepts
 
 
+class _IdError(ValueError):
+    """A broken id rule.  kind and id name the declaration at fault, so a parser can report its line."""
+
+    def __init__(self, message: str, kind: str, id: str):
+        super().__init__(message)
+        self.kind = kind
+        self.id = id
+
+
 def _check_id(kind: str, name: str) -> None:
     if not isinstance(name, str) or not name:
-        raise ValueError(f"{kind} id must be a non-empty string, got {name!r}")
+        raise _IdError(f"{kind} id must be a non-empty string, got {name!r}", kind, name)
     if _RESERVED.search(name):
-        raise ValueError(f"{kind} id {name!r} contains whitespace or reserved characters")
+        raise _IdError(f"{kind} id {name!r} contains whitespace or reserved characters", kind, name)
 
 
 def _claim_ids(net: str, groups: Iterable[tuple[str, Iterable[str]]]) -> None:
-    """Check the net id and every id of each (kind, ids) group, and that no id is used twice in the net."""
+    """Check the net id and every id of each (kind, ids) group, and that no id is used twice in the net.
+
+    The one uniqueness check: each call is one namespace."""
     _check_id("net", net)
     seen: dict[str, str] = {}
     for kind, ids in groups:
@@ -37,8 +48,8 @@ def _claim_ids(net: str, groups: Iterable[tuple[str, Iterable[str]]]) -> None:
             _check_id(kind, i)
             if i in seen:
                 if seen[i] == kind:
-                    raise ValueError(f"net {net}: duplicate {kind} id {i!r}")
-                raise ValueError(f"net {net}: id {i!r} used as both {seen[i]} and {kind}")
+                    raise _IdError(f"net {net}: duplicate {kind} id {i!r}", kind, i)
+                raise _IdError(f"net {net}: id {i!r} used as both {seen[i]} and {kind}", kind, i)
             seen[i] = kind
 
 

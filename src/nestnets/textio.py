@@ -42,20 +42,23 @@ Object system files:
     end
     init sim { a:1 } ctl { }
 
-The empty object net `black` is implicit and cannot be redefined; places
-typed black carry plain tokens (`ctl { }`).  Idle transitions are never
-written; they are re-synthesized when the system is built.
+The empty object net `black` is implicit and cannot be given places or
+transitions; places typed black carry plain tokens (`ctl { }`).  Idle
+transitions are never written; they are re-synthesized when the system is
+built.  Object net ids hold no ':', which separates a place from its type.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, config, validate
 from .objectsystem import IDLE_PREFIX, Event, NestedToken, ObjectSystem
-from .petri import BLACK_ID, PetriNet
+from .petri import BLACK_ID, PetriNet, _IdError
 from .reduction import Reduction
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -72,21 +75,36 @@ class InvalidNetError(ValueError):
         self.issues = issues
 
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    lines = []
+def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line that holds a token, read one line at a time."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         for ch in "[]{}":
             body = body.replace(ch, f" {ch} ")
         tokens = body.split()
         if tokens:
-            lines.append((lineno, tokens))
-    return lines
+            yield lineno, tokens
+
+
+def _at(lineno: int, build: Callable[..., T], *args, lines: Mapping | None = None, expected: str = "") -> T:
+    """build(*args), turning a ValueError it raises into a ParseError; the one place that does.
+
+    The message is 'expected <expected>, got <args[0]>' when expected is given, else the error's own.
+    The line is the one `lines` records for the declaration an _IdError names, keyed by (kind, id)
+    or else by id, and lineno for every other error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        if expected:
+            raise ParseError(lineno, f"expected {expected}, got {args[0]!r}") from None
+        if isinstance(exc, _IdError) and lines:
+            lineno = lines.get((exc.kind, exc.id), lines.get(exc.id, lineno))
+        raise ParseError(lineno, str(exc)) from None
 
 
 class _Cursor:
     def __init__(self, text: str):
-        self.lines = _tokenize(text)
+        self.lines = list(_tokenize(text))
         self.pos = 0
 
     def peek(self) -> tuple[int, list[str]] | None:
@@ -109,10 +127,8 @@ def _parse_vectors(lineno: int, tokens: list[str]) -> list[tuple[int, ...]]:
         j = i + 1
         entries = []
         while j < len(tokens) and tokens[j] != "]":
-            try:
-                entries.append(int(tokens[j]))
-            except ValueError:
-                raise ParseError(lineno, f"expected an integer, got {tokens[j]!r}") from None
+            tok = tokens[j]  # plain digits skip _at, which would double the parse time of a long configuration
+            entries.append(int(tok) if tok.isdecimal() else _at(lineno, int, tok, expected="an integer"))
             j += 1
         if j == len(tokens):
             raise ParseError(lineno, "unterminated '['")
@@ -121,24 +137,11 @@ def _parse_vectors(lineno: int, tokens: list[str]) -> list[tuple[int, ...]]:
     return vectors
 
 
-def _config_at(lineno: int, net: NuNet, vectors: list[tuple[int, ...]]) -> Multiset:
-    """The configuration of vectors read at lineno, or why they do not fit the net."""
-    try:
-        return config(net, vectors)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
-
-
-def _parse_trans(
-    cur: _Cursor, lineno: int, tokens: list[str], seen: list[str], arc: Callable[[int, list[str], str], None]
-) -> str:
-    """A 'trans <id> ... end' block: its id joins seen, arc(lineno, tokens, t) reads each in/out line."""
+def _parse_trans(cur: _Cursor, lineno: int, tokens: list[str], arc: Callable[[int, list[str], str], None]) -> str:
+    """A 'trans <id> ... end' block, returning its id; arc(lineno, tokens, t) reads each in/out line."""
     if len(tokens) != 2:
         raise ParseError(lineno, "expected 'trans <id>'")
     t = tokens[1]
-    if t in seen:
-        raise ParseError(lineno, f"duplicate transition {t!r}")
-    seen.append(t)
     while True:
         lineno, tokens = cur.next()
         if tokens[0] == "end":
@@ -171,6 +174,8 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
     inflow: dict[str, dict[str, Multiset]] = {}
     outflow: dict[str, dict[str, Multiset]] = {}
     given: list[tuple[str, int, list[tuple[int, ...]]]] = []  # init/target lines, fitted once the places are known
+    lines: dict[str, int] = {}  # the line that last declared each id
+    declares = {"places": places, "vars": standard, "fresh": fresh}
     header_line = lineno
 
     def parse_arc(lineno: int, tokens: list[str], t: str) -> None:
@@ -189,24 +194,19 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
     while cur.peek() is not None:
         lineno, tokens = cur.next()
         head = tokens[0]
-        if head == "places":
-            places.extend(tokens[1:])
-        elif head == "vars":
-            standard.extend(tokens[1:])
-        elif head == "fresh":
-            fresh.extend(tokens[1:])
+        if head in declares:
+            declares[head].extend(tokens[1:])
+            lines.update(dict.fromkeys(tokens[1:], lineno))
         elif head == "trans":
-            _parse_trans(cur, lineno, tokens, transitions, parse_arc)
+            transitions.append(_parse_trans(cur, lineno, tokens, parse_arc))
+            lines[transitions[-1]] = lineno
         elif head in ("init", "target"):
             given.append((head, lineno, _parse_vectors(lineno, tokens[1:])))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
-    try:
-        net = NuNet(name, places, transitions, standard, fresh, inflow, outflow)
-    except ValueError as exc:
-        raise ParseError(header_line, str(exc)) from None
-    configs = {head: _config_at(lineno, net, vectors) for head, lineno, vectors in given}  # the last line wins
+    net = _at(header_line, NuNet, name, places, transitions, standard, fresh, inflow, outflow, lines=lines)
+    configs = {head: _at(lineno, config, net, vectors) for head, lineno, vectors in given}  # the last line wins
     issues = validate(net)
     if issues:
         raise InvalidNetError(issues)
@@ -218,8 +218,11 @@ def format_config(configuration: Multiset) -> str:
 
 
 def parse_config(text: str, net: NuNet) -> Multiset:
-    """Inline configuration: zero or more [..] vectors."""
-    return _config_at(1, net, _parse_vectors(1, [tok for _, tokens in _tokenize(text) for tok in tokens]))
+    """Inline configuration: zero or more [..] vectors, each on one line; errors carry their line."""
+    out = EMPTY
+    for lineno, tokens in _tokenize(text):
+        out = out + _at(lineno, config, net, _parse_vectors(lineno, tokens))
+    return out
 
 
 def print_nunet(net: NuNet, init: Multiset | None = None, target: Multiset | None = None) -> str:
@@ -251,10 +254,7 @@ def _parse_weighted_arc(lineno: int, tokens: list[str], places: list[str]) -> tu
         p, k = tokens[1], 1
     elif len(tokens) == 4 and tokens[2] == ":":
         p = tokens[1]
-        try:
-            k = int(tokens[3])
-        except ValueError:
-            raise ParseError(lineno, f"expected an integer weight, got {tokens[3]!r}") from None
+        k = _at(lineno, int, tokens[3], expected="an integer weight")
         if k <= 0:
             raise ParseError(lineno, f"arc weight must be positive, got {k}")
     else:
@@ -264,7 +264,10 @@ def _parse_weighted_arc(lineno: int, tokens: list[str], places: list[str]) -> tu
     return p, k
 
 
-def _parse_net_body(cur: _Cursor, name: str, typed: bool) -> tuple[PetriNet, dict[str, str]]:
+def _parse_net_body(
+    cur: _Cursor, header_line: int, name: str, typed: bool, lines: dict
+) -> tuple[PetriNet, dict[str, str]]:
+    """The body of an 'objectnet' or 'system' block, recording in lines where each id was declared."""
     places: list[str] = []
     typing: dict[str, str] = {}
     transitions: list[str] = []
@@ -291,15 +294,13 @@ def _parse_net_body(cur: _Cursor, name: str, typed: bool) -> tuple[PetriNet, dic
                 else:
                     p = tok
                 places.append(p)
+                lines[p] = lineno
         elif head == "trans":
-            _parse_trans(cur, lineno, tokens, transitions, parse_arc)
+            transitions.append(_parse_trans(cur, lineno, tokens, parse_arc))
+            lines[transitions[-1]] = lineno
         else:
             raise ParseError(lineno, f"expected 'places', 'trans' or 'end', got {head!r}")
-    try:
-        net = PetriNet(name, places, transitions, pre, post)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
-    return net, typing
+    return _at(header_line, PetriNet, name, places, transitions, pre, post, lines=lines), typing
 
 
 def _parse_marking_line(lineno: int, tokens: list[str]) -> Multiset:
@@ -318,18 +319,11 @@ def _parse_marking_line(lineno: int, tokens: list[str]) -> Multiset:
             if ":" not in entry:
                 raise ParseError(lineno, f"expected 'place:count', got {entry!r}")
             p, k = entry.rsplit(":", 1)
-            try:
-                counts[p] = counts.get(p, 0) + int(k)
-            except ValueError:
-                raise ParseError(lineno, f"expected an integer count, got {k!r}") from None
+            counts[p] = counts.get(p, 0) + _at(lineno, int, k, expected="an integer count")
             j += 1
         if j == len(tokens):
             raise ParseError(lineno, "unterminated '{'")
-        try:
-            inner = Multiset.from_counts(counts)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        toks.append(NestedToken(place, inner))
+        toks.append(NestedToken(place, _at(lineno, Multiset.from_counts, counts)))
         i = j + 1
     return Multiset(toks)
 
@@ -344,10 +338,9 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
     system_net: PetriNet | None = None
     typing: dict[str, str] = {}
     events: list[Event] = []
-    init: Multiset | None = None
-    target: Multiset | None = None
+    given: list[tuple[str, int, Multiset]] = []  # init/target lines, fitted once the system is built
+    lines: dict = {}  # the line that last declared each place and transition id, and each (kind, id) of the rest
     system_line = lineno
-    marking_lines = {"init": lineno, "target": lineno}
 
     while cur.peek() is not None:
         lineno, tokens = cur.next()
@@ -355,15 +348,15 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
         if head == "objectnet":
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected 'objectnet <id>'")
-            if tokens[1] == BLACK_ID:
-                raise ParseError(lineno, f"object net id {BLACK_ID!r} is reserved for the empty net")
-            net, _ = _parse_net_body(cur, tokens[1], typed=False)
+            lines[("object net", tokens[1])] = lineno
+            net, _ = _parse_net_body(cur, lineno, tokens[1], typed=False, lines=lines)
             object_nets.append(net)
         elif head == "system":
             if len(tokens) > 2:
                 raise ParseError(lineno, "expected 'system [name]'")
             system_line = lineno
-            system_net, typing = _parse_net_body(cur, tokens[1] if len(tokens) == 2 else "system", typed=True)
+            name = tokens[1] if len(tokens) == 2 else "system"
+            system_net, typing = _parse_net_body(cur, lineno, name, typed=True, lines=lines)
         elif head == "events":
             while True:
                 lineno2, tokens2 = cur.next()
@@ -378,38 +371,29 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
                     if rest[0] != "with":
                         raise ParseError(lineno2, f"expected 'with', got {rest[0]!r}")
                     for clause in _split_on(rest[1:], ";"):
-                        # The net id and the separating colon may arrive as one
-                        # token ("data:") or two ("data :").
-                        if len(clause) >= 3 and clause[1] == ":":
-                            net_id, body = clause[0], clause[2:]
-                        elif len(clause) >= 2 and clause[0].endswith(":") and len(clause[0]) > 1:
+                        # The net id and the separating colon may arrive as one token ("data:") or two
+                        # ("data :").  Net ids hold no ':', so a transition may be ':' ("data: : t").
+                        if len(clause) >= 2 and clause[0].endswith(":") and len(clause[0]) > 1:
                             net_id, body = clause[0][:-1], clause[1:]
+                        elif len(clause) >= 3 and clause[1] == ":":
+                            net_id, body = clause[0], clause[2:]
                         else:
                             raise ParseError(lineno2, "expected '<net>: <transition>...' in event clause")
                         theta[net_id] = theta.get(net_id, EMPTY) + Multiset(body)
                 events.append(Event.make(ename, etrans, theta))
-        elif head == "init":
-            marking_lines["init"] = lineno
-            init = _parse_marking_line(lineno, tokens[1:])
-        elif head == "target":
-            marking_lines["target"] = lineno
-            target = _parse_marking_line(lineno, tokens[1:])
+                lines[("event", ename)] = lineno2
+        elif head in ("init", "target"):
+            given.append((head, lineno, _parse_marking_line(lineno, tokens[1:])))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
     if system_net is None:
         raise ParseError(system_line, "missing 'system' section")
-    try:
-        system = ObjectSystem(system_net, object_nets, typing, events)
-    except ValueError as exc:
-        raise ParseError(system_line, str(exc)) from None
-    for label, marking in (("init", init), ("target", target)):
-        if marking is not None:
-            try:
-                system.validate_marking(marking)
-            except ValueError as exc:
-                raise ParseError(marking_lines[label], str(exc)) from None
-    return system, init, target
+    system = _at(system_line, ObjectSystem, system_net, object_nets, typing, events, lines=lines)
+    for _, lineno, marking in given:
+        _at(lineno, system.validate_marking, marking)
+    markings = {head: marking for head, _, marking in given}  # the last line wins
+    return system, markings.get("init"), markings.get("target")
 
 
 def _split_on(tokens: list[str], sep: str) -> list[list[str]]:
@@ -427,13 +411,12 @@ def format_marking(marking: Multiset) -> str:
 
 
 def parse_marking(text: str, system: ObjectSystem) -> Multiset:
-    """Inline marking: zero or more 'place { p:k ... }' tokens."""
-    tokens = [tok for _, line in _tokenize(text) for tok in line]
-    marking = _parse_marking_line(1, tokens)
-    try:
-        system.validate_marking(marking)
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    """Inline marking: zero or more 'place { p:k ... }' tokens, each on one line; errors carry their line."""
+    marking = EMPTY
+    for lineno, tokens in _tokenize(text):
+        line = _parse_marking_line(lineno, tokens)
+        _at(lineno, system.validate_marking, line)
+        marking = marking + line
     return marking
 
 
@@ -500,11 +483,11 @@ def name_table_tsv(reduction: Reduction) -> str:
 
 
 def sniff_format(text: str) -> str:
-    """'nupn' or 'eos' from the first keyword of a file."""
-    lines = _tokenize(text)
-    if not lines:
+    """'nupn' or 'eos' from the first keyword of a file, reading no further than its line."""
+    first = next(_tokenize(text), None)
+    if first is None:
         raise ParseError(1, "empty file")
-    head = lines[0][1][0]
+    lineno, (head, *_) = first
     if head not in ("nupn", "eos"):
-        raise ParseError(lines[0][0], f"expected 'nupn' or 'eos' header, got {head!r}")
+        raise ParseError(lineno, f"expected 'nupn' or 'eos' header, got {head!r}")
     return head

@@ -171,6 +171,25 @@ def test_cover_target_from_file(capsys, tmp_path):
     assert out.startswith("covered at depth 1")
 
 
+@pytest.mark.parametrize("net, state, err", [
+    (D0, "[0 1]\n[1 2 3]\n", "error: line 2: vector [1, 2, 3] has arity 3, net has 2 places\n"),
+    (D0, "# target\n[0 1]\n\n[x]\n", "error: line 4: expected an integer, got 'x'\n"),
+    (COURIER, "outbox { final:1 }\noutbox { zz:1 }\n",
+     "error: line 2: token on 'outbox' (type doc) has inner token on foreign place 'zz'\n"),
+])
+def test_state_file_errors_carry_their_line(capsys, tmp_path, net, state, err):
+    f = tmp_path / "target.txt"
+    f.write_text(state)
+    assert run(capsys, "cover", net, "--target", str(f), "--depth", "1") == (1, "", err)
+
+
+def test_eos_fits_every_init_line(capsys, tmp_path):
+    f = tmp_path / "twice.eos"
+    f.write_text("eos\nsystem s\n places p:black\nend\ninit p { x:1 }\ninit p { }\n")
+    assert run(capsys, "validate", str(f)) == (
+        1, "", "error: line 5: token on 'p' (type black) has inner token on foreign place 'x'\n")
+
+
 def test_cover_init_override(capsys):
     code, out, _ = run(capsys, "cover", D0, "--target", "[0 1]", "--depth", "0",
                        "--init", "[0 1]")

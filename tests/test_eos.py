@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -66,7 +67,7 @@ def test_construction_rejections():
         ObjectSystem(PetriNet("outer", ("s1",), ("idle::x",)), [inner], typing)
     with pytest.raises(ValueError):  # non-empty net claiming the black id
         ObjectSystem(base, [PetriNet("black", places=("a",))], typing)
-    with pytest.raises(ValueError):  # duplicate object net ids
+    with pytest.raises(ValueError, match="^net outer: duplicate object net id 'inner'$"):
         ObjectSystem(base, [inner, PetriNet("inner")], typing)
     with pytest.raises(ValueError, match="^net outer: id 's1' used as both system place and place of object net other$"):
         ObjectSystem(base, [PetriNet("other", places=("s1",))], typing)
@@ -80,7 +81,7 @@ def test_construction_rejections():
         ObjectSystem(base, [inner], {})
     with pytest.raises(ValueError):  # typing names an unknown net
         ObjectSystem(base, [inner], {"s1": "nope"})
-    with pytest.raises(ValueError):  # duplicate event names
+    with pytest.raises(ValueError, match="^net outer: duplicate event id 'ev'$"):
         ObjectSystem(base, [inner], typing,
                      [Event.make("ev", "e"), Event.make("ev", "e")])
     with pytest.raises(ValueError):  # event on unknown transition
@@ -93,6 +94,25 @@ def test_construction_rejections():
                      [Event.make("ev", "e", {"inner": Multiset(["zz"])})])
     with pytest.raises(ValueError):  # idle event firing nothing
         ObjectSystem(base, [inner], typing, [Event.make("ev", "idle::s1")])
+
+
+@pytest.mark.parametrize("name, message", [
+    ("e{", "event id 'e{' contains whitespace or reserved characters"),
+    ("a b", "event id 'a b' contains whitespace or reserved characters"),
+    ("x#y", "event id 'x#y' contains whitespace or reserved characters"),
+    ("", "event id must be a non-empty string, got ''"),
+])
+def test_event_names_follow_the_id_rule(name, message):
+    system = PetriNet("outer", places=("s1",), transitions=("e",))
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        ObjectSystem(system, [], {"s1": "black"}, [Event.make(name, "e")])
+
+
+def test_object_net_ids_hold_no_colon():
+    # a place typed by 'a:b' would be written 'p:a:b' and read back as place 'p:a' of type 'b'
+    system = PetriNet("outer", places=("p",))
+    with pytest.raises(ValueError, match="^object net id 'a:b' contains ':', the separator of a place and its type$"):
+        ObjectSystem(system, [PetriNet("a:b", places=("x",))], {"p": "a:b"})
 
 
 def test_marking_validation():

@@ -114,9 +114,14 @@ def test_parse_errors_carry_positions():
         ("nupn n\nplaces p\ninit [-1]\n", "line 3: negative entry in [-1]"),
         ("nupn n\nplaces p\ninit [1]\nplaces q\n", "line 3: vector [1] has arity 1, net has 2 places"),
         ("nupn n\ninit [x]\nplaces p p\n", "line 2: expected an integer, got 'x'"),  # syntax in file order,
-        ("nupn n\nplaces p p\ninit [1]\n", "line 1: net n: duplicate place id 'p'"),  # then the net, then fit
+        ("nupn n\nplaces p p\ninit [1]\n", "line 2: net n: duplicate place id 'p'"),  # then the net, then fit
+        ("nupn n\nplaces p\nplaces p\n", "line 3: net n: duplicate place id 'p'"),  # id errors at the repeat
+        ("nupn n\nplaces p\nvars x\nfresh x\n", "line 4: net n: duplicate variable id 'x'"),
+        ("nupn n\nplaces p\ntrans p\nend\n", "line 3: net n: id 'p' used as both place and transition"),
+        ("nupn n\nplaces p a;b\n", "line 2: place id 'a;b' contains whitespace or reserved characters"),
+        ("nupn a;b\nplaces p\n", "line 1: net id 'a;b' contains whitespace or reserved characters"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in p : x\n", "line 5: unexpected end of file"),
-        ("nupn n\nplaces p\ntrans t\nend\ntrans t\nend\n", "line 5: duplicate transition 't'"),
+        ("nupn n\nplaces p\ntrans t\nend\ntrans t\nend\n", "line 5: net n: duplicate transition id 't'"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in p : y\nend\n", "line 5: undeclared variable 'y'"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in zz : x\nend\n", "line 5: unknown place 'zz'"),
         ("nupn n\nplaces p q\nvars x\ntrans t\n in p : x\n out zz : x\nend\n", "line 6: unknown place 'zz'"),
@@ -128,7 +133,7 @@ def test_parse_errors_carry_positions():
     net, _, _ = parse_nunet(d0_text())
     with pytest.raises(ParseError) as err:
         parse_config("[1 0]\n[0 1 2]", net)
-    assert str(err.value) == "line 1: vector [0, 1, 2] has arity 3, net has 2 places"
+    assert str(err.value) == "line 2: vector [0, 1, 2] has arity 3, net has 2 places"
 
 
 @pytest.mark.parametrize("vector, message", [
@@ -235,7 +240,23 @@ def test_eos_parse_errors_carry_positions():
         ("eos\nobjectnet a\n places x\n trans t\n  in x\n  bad x\n end\nend\n",
          "line 6: expected 'in', 'out' or 'end', got 'bad'"),
         ("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\n trans t\n end\nend\n",
-         "line 8: duplicate transition 't'"),
+         "line 8: net s: duplicate transition id 't'"),
+        ("eos\nobjectnet a\n places x x\n trans u\n end\nend\nsystem s\n places p:a\nend\n",
+         "line 3: net a: duplicate place id 'x'"),
+        ("eos\nobjectnet a\nend\nobjectnet a\nend\nsystem s\n places p:a\nend\n",
+         "line 4: net s: duplicate object net id 'a'"),
+        ("eos\nobjectnet a:b\nend\nsystem s\n places p:a:b\nend\n",
+         "line 2: object net id 'a:b' contains ':', the separator of a place and its type"),
+        ("eos\nobjectnet d\n places x\nend\nsystem s\n places p:d\n trans x\n end\nend\n",
+         "line 7: net s: id 'x' used as both system transition and place of object net d"),
+        ("eos\nsystem s\n places p:black\n trans idle::p\n end\nend\n",
+         "line 4: transition id 'idle::p' uses the reserved idle namespace"),
+        ("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\nend\nevents\n"
+         " event e = t\n event e = t\nend\n", "line 11: net s: duplicate event id 'e'"),
+        ("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\nend\nevents\n"
+         " event a;b = t\nend\n", "line 10: event id 'a;b' contains whitespace or reserved characters"),
+        ("eos\nsystem s\n places p:black\nend\ninit p { x:1 }\ninit p { }\n",
+         "line 5: token on 'p' (type black) has inner token on foreign place 'x'"),
         ("eos\nsystem s\n places p:black\n trans t\n  in p : 0\n end\nend\n",
          "line 5: arc weight must be positive, got 0"),
     ]
