@@ -205,7 +205,8 @@ class ObjectSystem:
 
     # -- markings ----------------------------------------------------------
 
-    def validate_marking(self, marking: Multiset) -> None:
+    def validate_marking(self, marking: Multiset) -> Multiset:
+        """The marking, if each of its tokens lies on a system place and fits that place's net."""
         for tok in marking.support():
             if not isinstance(tok, NestedToken):
                 raise ValueError(f"marking element {tok!r} is not a token")
@@ -218,6 +219,7 @@ class ObjectSystem:
                     raise ValueError(
                         f"token on {tok.place!r} (type {net.name}) has inner token on foreign place {p!r}"
                     )
+        return marking
 
     # -- enabledness -------------------------------------------------------
 

@@ -50,7 +50,11 @@ built.  Object net ids hold no ':', which separates a place from its type.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, TypeVar
+import re
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, config, validate
@@ -86,20 +90,35 @@ def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
-def _at(lineno: int, build: Callable[..., T], *args, lines: Mapping | None = None, expected: str = "") -> T:
+def _at(lineno: int, build: Callable[..., T], *args, lines: Mapping | None = None) -> T:
     """build(*args), turning a ValueError it raises into a ParseError; the one place that does.
 
-    The message is 'expected <expected>, got <args[0]>' when expected is given, else the error's own.
     The line is the one `lines` records for the declaration an _IdError names, keyed by (kind, id)
     or else by id, and lineno for every other error."""
     try:
         return build(*args)
     except ValueError as exc:
-        if expected:
-            raise ParseError(lineno, f"expected {expected}, got {args[0]!r}") from None
         if isinstance(exc, _IdError) and lines:
             lineno = lines.get((exc.kind, exc.id), lines.get(exc.id, lineno))
         raise ParseError(lineno, str(exc)) from None
+
+
+_integer = re.compile(r"[+-]?\d+(?:_\d+)*").fullmatch  # what int() reads in base 10, without surrounding space
+
+
+def _int(lineno: int, tok: str, what: str) -> int:
+    """tok as an integer; the one reader of integers, which checks the syntax and int()'s digit limit itself."""
+    if len(tok) > 4300 or not (tok.isdecimal() or _integer(tok)):  # plain digits skip the pattern, which costs parse_nunet 20 %
+        raise ParseError(lineno, f"expected {what}, got {tok!r}")
+    return int(tok)
+
+
+def _fit(items: list[tuple[int, T]], build: Callable[[list[T]], Multiset]) -> Multiset:
+    """The sum of build over the items of each line, reporting its errors at that line."""
+    out = EMPTY
+    for lineno, group in groupby(items, key=itemgetter(0)):
+        out = out + _at(lineno, build, [item for _, item in group])
+    return out
 
 
 class _Cursor:
@@ -118,22 +137,21 @@ class _Cursor:
         return line
 
 
-def _parse_vectors(lineno: int, tokens: list[str]) -> list[tuple[int, ...]]:
+def _parse_vectors(lines: Iterable[tuple[int, list[str]]]) -> list[tuple[int, tuple[int, ...]]]:
+    """The [..] vectors on (line number, tokens) lines, each with the line of its '['; one may span lines."""
     vectors = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] != "[":
-            raise ParseError(lineno, f"expected '[', got {tokens[i]!r}")
-        j = i + 1
+    it = ((lineno, tok) for lineno, tokens in lines for tok in tokens)
+    for start, tok in it:
+        if tok != "[":
+            raise ParseError(start, f"expected '[', got {tok!r}")
         entries = []
-        while j < len(tokens) and tokens[j] != "]":
-            tok = tokens[j]  # plain digits skip _at, which would double the parse time of a long configuration
-            entries.append(int(tok) if tok.isdecimal() else _at(lineno, int, tok, expected="an integer"))
-            j += 1
-        if j == len(tokens):
-            raise ParseError(lineno, "unterminated '['")
-        vectors.append(tuple(entries))
-        i = j + 1
+        for lineno, tok in it:
+            if tok == "]":
+                break
+            entries.append(_int(lineno, tok, "an integer"))
+        else:
+            raise ParseError(start, "unterminated '['")
+        vectors.append((start, tuple(entries)))
     return vectors
 
 
@@ -173,7 +191,7 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
     transitions: list[str] = []
     inflow: dict[str, dict[str, Multiset]] = {}
     outflow: dict[str, dict[str, Multiset]] = {}
-    given: list[tuple[str, int, list[tuple[int, ...]]]] = []  # init/target lines, fitted once the places are known
+    given: list[tuple[str, list[tuple[int, tuple[int, ...]]]]] = []  # init/target lines, fitted once the places are known
     lines: dict[str, int] = {}  # the line that last declared each id
     declares = {"places": places, "vars": standard, "fresh": fresh}
     header_line = lineno
@@ -201,12 +219,12 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
             transitions.append(_parse_trans(cur, lineno, tokens, parse_arc))
             lines[transitions[-1]] = lineno
         elif head in ("init", "target"):
-            given.append((head, lineno, _parse_vectors(lineno, tokens[1:])))
+            given.append((head, _parse_vectors([(lineno, tokens[1:])])))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
     net = _at(header_line, NuNet, name, places, transitions, standard, fresh, inflow, outflow, lines=lines)
-    configs = {head: _at(lineno, config, net, vectors) for head, lineno, vectors in given}  # the last line wins
+    configs = {head: _fit(vectors, partial(config, net)) for head, vectors in given}  # the last line wins
     issues = validate(net)
     if issues:
         raise InvalidNetError(issues)
@@ -218,11 +236,8 @@ def format_config(configuration: Multiset) -> str:
 
 
 def parse_config(text: str, net: NuNet) -> Multiset:
-    """Inline configuration: zero or more [..] vectors, each on one line; errors carry their line."""
-    out = EMPTY
-    for lineno, tokens in _tokenize(text):
-        out = out + _at(lineno, config, net, _parse_vectors(lineno, tokens))
-    return out
+    """Inline configuration: zero or more [..] vectors on any lines; errors carry their line."""
+    return _fit(_parse_vectors(_tokenize(text)), partial(config, net))
 
 
 def print_nunet(net: NuNet, init: Multiset | None = None, target: Multiset | None = None) -> str:
@@ -254,7 +269,7 @@ def _parse_weighted_arc(lineno: int, tokens: list[str], places: list[str]) -> tu
         p, k = tokens[1], 1
     elif len(tokens) == 4 and tokens[2] == ":":
         p = tokens[1]
-        k = _at(lineno, int, tokens[3], expected="an integer weight")
+        k = _int(lineno, tokens[3], "an integer weight")
         if k <= 0:
             raise ParseError(lineno, f"arc weight must be positive, got {k}")
     else:
@@ -303,29 +318,27 @@ def _parse_net_body(
     return _at(header_line, PetriNet, name, places, transitions, pre, post, lines=lines), typing
 
 
-def _parse_marking_line(lineno: int, tokens: list[str]) -> Multiset:
-    toks: list[NestedToken] = []
-    i = 0
-    while i < len(tokens):
-        place = tokens[i]
+def _parse_marking(lines: Iterable[tuple[int, list[str]]]) -> list[tuple[int, NestedToken]]:
+    """The 'place { p:k ... }' tokens on (line number, tokens) lines, each with the line of its place."""
+    toks = []
+    it = ((lineno, tok) for lineno, tokens in lines for tok in tokens)
+    for start, place in it:
         if place in ("{", "}"):
-            raise ParseError(lineno, f"expected a place name, got {place!r}")
-        if i + 1 >= len(tokens) or tokens[i + 1] != "{":
-            raise ParseError(lineno, f"expected '{{' after place {place!r}")
-        j = i + 2
+            raise ParseError(start, f"expected a place name, got {place!r}")
+        if next(it, (0, None))[1] != "{":
+            raise ParseError(start, f"expected '{{' after place {place!r}")
         counts: dict[str, int] = {}
-        while j < len(tokens) and tokens[j] != "}":
-            entry = tokens[j]
+        for lineno, entry in it:
+            if entry == "}":
+                break
             if ":" not in entry:
                 raise ParseError(lineno, f"expected 'place:count', got {entry!r}")
             p, k = entry.rsplit(":", 1)
-            counts[p] = counts.get(p, 0) + _at(lineno, int, k, expected="an integer count")
-            j += 1
-        if j == len(tokens):
-            raise ParseError(lineno, "unterminated '{'")
-        toks.append(NestedToken(place, _at(lineno, Multiset.from_counts, counts)))
-        i = j + 1
-    return Multiset(toks)
+            counts[p] = counts.get(p, 0) + _int(lineno, k, "an integer count")
+        else:
+            raise ParseError(start, "unterminated '{'")
+        toks.append((start, NestedToken(place, _at(start, Multiset.from_counts, counts))))
+    return toks
 
 
 def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multiset | None]:
@@ -338,7 +351,7 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
     system_net: PetriNet | None = None
     typing: dict[str, str] = {}
     events: list[Event] = []
-    given: list[tuple[str, int, Multiset]] = []  # init/target lines, fitted once the system is built
+    given: list[tuple[str, list[tuple[int, NestedToken]]]] = []  # init/target lines, fitted once the system is built
     lines: dict = {}  # the line that last declared each place and transition id, and each (kind, id) of the rest
     system_line = lineno
 
@@ -383,16 +396,15 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
                 events.append(Event.make(ename, etrans, theta))
                 lines[("event", ename)] = lineno2
         elif head in ("init", "target"):
-            given.append((head, lineno, _parse_marking_line(lineno, tokens[1:])))
+            given.append((head, _parse_marking([(lineno, tokens[1:])])))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
     if system_net is None:
         raise ParseError(system_line, "missing 'system' section")
     system = _at(system_line, ObjectSystem, system_net, object_nets, typing, events, lines=lines)
-    for _, lineno, marking in given:
-        _at(lineno, system.validate_marking, marking)
-    markings = {head: marking for head, _, marking in given}  # the last line wins
+    markings = {head: _fit(toks, lambda line: system.validate_marking(Multiset(line)))
+                for head, toks in given}  # the last line wins
     return system, markings.get("init"), markings.get("target")
 
 
@@ -411,13 +423,8 @@ def format_marking(marking: Multiset) -> str:
 
 
 def parse_marking(text: str, system: ObjectSystem) -> Multiset:
-    """Inline marking: zero or more 'place { p:k ... }' tokens, each on one line; errors carry their line."""
-    marking = EMPTY
-    for lineno, tokens in _tokenize(text):
-        line = _parse_marking_line(lineno, tokens)
-        _at(lineno, system.validate_marking, line)
-        marking = marking + line
-    return marking
+    """Inline marking: zero or more 'place { p:k ... }' tokens on any lines; errors carry their line."""
+    return _fit(_parse_marking(_tokenize(text)), lambda line: system.validate_marking(Multiset(line)))
 
 
 def _print_arcs(out: list[str], indent: str, net: PetriNet, t: str) -> None:

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nestnets import (
     InvalidNetError,
@@ -27,6 +29,7 @@ from nestnets import (
     sniff_format,
 )
 from nestnets.nunet import config
+from nestnets.textio import _int
 from netgen import random_config, random_nupn
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -38,6 +41,9 @@ def d0_text():
 
 def courier_text():
     return (DATA / "courier.eos").read_text()
+
+
+LONG = "1" * 5000  # more digits than int() converts by default
 
 
 # -- name net files ---------------------------------------------------------------
@@ -125,6 +131,7 @@ def test_parse_errors_carry_positions():
         ("nupn n\nplaces p\nvars x\ntrans t\n in p : y\nend\n", "line 5: undeclared variable 'y'"),
         ("nupn n\nplaces p\nvars x\ntrans t\n in zz : x\nend\n", "line 5: unknown place 'zz'"),
         ("nupn n\nplaces p q\nvars x\ntrans t\n in p : x\n out zz : x\nend\n", "line 6: unknown place 'zz'"),
+        (f"nupn n\nplaces p\ninit [{LONG}]\n", f"line 3: expected an integer, got '{LONG}'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
@@ -151,6 +158,40 @@ def test_one_fit_rule_one_message(vector, message):
         parse_config(text, net)
     with pytest.raises(ParseError, match=rf"^line 11: {re.escape(message)}$"):
         parse_nunet(d0_text().replace("init [1 0]", "init " + text))
+
+
+@given(st.text(alphabet="019_+-\u0663xe.", max_size=6))
+def test_integers_read_as_int_reads_them(tok):
+    try:
+        value = int(tok)
+    except ValueError:
+        with pytest.raises(ParseError, match=r"^line 4: expected an integer, got "):
+            _int(4, tok, "an integer")
+    else:
+        assert _int(4, tok, "an integer") == value
+
+
+def test_inline_states_may_span_lines():
+    net, _, _ = parse_nunet(d0_text())
+    assert parse_config("[1\n 0] [+0\n\n 0_2]", net) == config(net, [(1, 0), (0, 2)])
+    system, _, _ = parse_object_system(courier_text())
+    assert parse_marking("outbox\n{ final:1\n }", system) == Multiset([NestedToken("outbox", Multiset(["final"]))])
+    cases = [
+        (parse_config, net, "[1\n x]", "line 2: expected an integer, got 'x'"),
+        (parse_config, net, "[1 0]\n[0\n1 2]", "line 2: vector [0, 1, 2] has arity 3, net has 2 places"),
+        (parse_config, net, "[1 0]\n[0\n", "line 2: unterminated '['"),
+        (parse_config, net, "[1 0]\n\n0]", "line 3: expected '[', got '0'"),
+        (parse_marking, system, "outbox {\n zz:1 }",
+         "line 1: token on 'outbox' (type doc) has inner token on foreign place 'zz'"),
+        (parse_marking, system, "outbox { }\ninbox {\n final:x }", "line 3: expected an integer count, got 'x'"),
+        (parse_marking, system, "outbox { }\ninbox { final:-1\n }", "line 2: negative count -1 for 'final'"),
+        (parse_marking, system, "outbox { }\ninbox\n", "line 2: expected '{' after place 'inbox'"),
+        (parse_marking, system, "outbox { }\ninbox {\n final:1\n", "line 2: unterminated '{'"),
+    ]
+    for parse, subject, text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text, subject)
+        assert str(err.value) == message
 
 
 def test_init_and_target_may_precede_places():
@@ -259,6 +300,10 @@ def test_eos_parse_errors_carry_positions():
          "line 5: token on 'p' (type black) has inner token on foreign place 'x'"),
         ("eos\nsystem s\n places p:black\n trans t\n  in p : 0\n end\nend\n",
          "line 5: arc weight must be positive, got 0"),
+        (f"eos\nsystem s\n places p:black\n trans t\n  in p : {LONG}\n end\nend\n",
+         f"line 5: expected an integer weight, got '{LONG}'"),
+        (f"eos\nsystem s\n places p:black\nend\ninit p {{ x:{LONG} }}\n",
+         f"line 5: expected an integer count, got '{LONG}'"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
