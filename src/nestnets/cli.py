@@ -219,7 +219,7 @@ def _cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     print(f"0: {fmt.format_state(state)}")
     for i in range(1, args.steps + 1):
-        edges = fmt.explore(net, state).edges  # one per enabled step, canonically ordered
+        edges = fmt.explore(net, state).edges  # one per enabled step, in declaration order with modes sorted
         if not edges:
             print(f"deadlock after {i - 1} steps")
             return EXIT_OK

@@ -6,12 +6,13 @@ adapter: validate(state), successors(state), covers(state, target) and
 step(state, action).  Replaying a witness folds step over it.  The public
 *_nunet and *_object_system functions only pick the adapter.
 
-All searches are breadth first with canonical-form deduplication and two
-explicit resource bounds: a depth budget and a state cap.  Exceeding the
-state cap raises SearchLimitReached; running out of depth is an ordinary
-NotCovered answer carrying the depth actually explored.  Exploration
-order is canonical everywhere (layers sorted, actions enumerated in
-declaration order), so repeated runs produce byte-identical results.
+All searches are breadth first with deduplication and two explicit
+resource bounds: a depth budget and a state cap.  Exceeding the state cap
+raises SearchLimitReached; running out of depth is an ordinary NotCovered
+answer carrying the depth actually explored.  States are found in a fixed
+enumeration order (a layer in the order its states were first reached,
+actions in declaration order, modes sorted) and never sorted, so repeated
+runs produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ class SearchLimitReached(Exception):
 class ExploreResult:
     """States and edges discovered within the depth budget.
 
-    states are listed layer by layer, each layer canonically sorted;
-    edges originate from expanded states only (those strictly below the
-    depth budget).  frontier_exhausted reports whether the search closed
-    before running out of depth.
+    states are listed layer by layer, each layer in the order its states
+    were first found in the fixed enumeration order; edges originate from
+    expanded states only (those strictly below the depth budget).
+    frontier_exhausted reports whether the search closed before running
+    out of depth.
     """
 
     states: list[Multiset]
@@ -66,9 +68,10 @@ class ExploreResult:
 class CoverAnswer:
     """Outcome of a bounded coverability query.
 
-    covered = True comes with the covering state and a shortest witness
-    (ties broken canonically); covered = False reports how deep the search
-    actually looked and whether it closed the state space.
+    covered = True comes with the covering state and a shortest witness,
+    the first found in a fixed enumeration order; covered = False reports
+    how deep the search actually looked and whether it closed the state
+    space.
     """
 
     covered: bool
@@ -87,11 +90,12 @@ def _search(
     edges: list | None = None,
 ):
     """Shared BFS core: explores up to `depth` layers, optionally stopping
-    at the canonically first, shallowest state covering `target`, and
-    appending every edge to `edges` when given.  Returns the states, whether
-    the space closed, the depth reached, the covering state (or None), and
-    parents, which maps each state found to (parent, action) and the
-    initial state to None."""
+    at the shallowest state covering `target` first found in the fixed
+    enumeration order (see the module docstring), and appending every edge
+    to `edges` when given.  Returns the states, whether the space closed,
+    the depth reached, the covering state (or None), and parents, which
+    maps each state found to (parent, action) and the initial state to
+    None."""
     parents: dict[Multiset, tuple[Multiset, Any] | None] = {initial: None}
     states: list[Multiset] = [initial]
     frontier = [initial]
@@ -115,7 +119,6 @@ def _search(
                     layer.append(nxt)
         if not layer:
             return states, True, d, None, parents
-        layer.sort(key=Multiset.sort_key)
         states.extend(layer)
         d += 1
         frontier = layer
@@ -146,21 +149,22 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 #
 # A net kind is what the search core sees of a net: validate(state) raises if
 # a state does not fit the net; successors(state) lists (action, next state)
-# pairs in canonical order; covers(state, target) says whether a state
-# dominates a target; step(state, action) fires one action, raising if it is
-# not enabled.  The factories below look up nu_* and os_* in this module's
-# globals at each call, so wrappers put there (benches/layertrace.py) see
-# every call.
+# pairs in a fixed enumeration order (declaration order, modes sorted);
+# covers(state, target) says whether a state dominates a target; step(state,
+# action) fires one action, raising if it is not enabled.  The factories below
+# look up nu_* and os_* in this module's globals at each call, so wrappers put
+# there (benches/layertrace.py) see every call.
 #
 # An object-system adapter memoises mode lists for its own life (one search):
 # an event's modes depend only on the tokens on its input places, with their
 # inner markings and counts, so they are keyed on the event's index and those
-# tokens, grouped as enabled_modes groups them, and a hit fires the same modes
-# that enabled_modes would return.  On a miss, enabled_modes looks up each
-# choice of consumed tokens in a second memo of the adapter's, keyed by (event,
-# consumed multiset), because different input tokens often share those choices.
-# Neither memo is kept on the ObjectSystem, so a long-lived system does not
-# grow between queries.
+# tokens, grouped as enabled_modes groups them, in the marking's insertion
+# order (equal tokens met in another order miss, which stays exact), and a hit
+# fires the same modes that enabled_modes would return.  On a miss,
+# enabled_modes looks up each choice of consumed tokens in a second memo of the
+# adapter's, keyed by (event, consumed multiset), because different input
+# tokens often share those choices.  Neither memo is kept on the ObjectSystem,
+# so a long-lived system does not grow between queries.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:

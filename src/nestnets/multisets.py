@@ -11,11 +11,17 @@ always print and enumerate identically.  Elements are sorted by
 exposing its own ``sort_key()`` (nested tokens do).  A multiset is never
 changed once built, so it computes its canonical order and its own sort
 key at most once, on first use.
+
+``counts()`` is the one order-free view: the (element, count) pairs in
+insertion order, the order in which the operation that built the multiset
+met its elements.  It never sorts, so reads whose result cannot depend on
+order (searches, domination, firing) use it and leave the canonical order
+to printing and to ordering mode lists.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, ItemsView, Iterable, Iterator, Mapping
 
 
 def sort_key(element: Any) -> Any:
@@ -71,6 +77,10 @@ class Multiset:
             counts = self._counts
             items = self._items = tuple((e, counts[e]) for e in sorted(counts, key=sort_key))
         return items
+
+    def counts(self) -> ItemsView[Any, int]:
+        """(element, count) pairs in insertion order; computes no canonical order."""
+        return self._counts.items()
 
     def count(self, element: Any) -> int:
         return self._counts.get(element, 0)

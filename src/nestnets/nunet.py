@@ -302,7 +302,7 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bo
         return target.leq(configuration)
     if len(target) > len(configuration):
         return False
-    rows, goals = configuration.items(), target.items()
+    rows, goals = list(configuration.counts()), list(target.counts())
     edges = _dominators([tup for tup, _ in rows], [tup for tup, _ in goals])
     groups = [(edges[tup], count) for tup, count in goals]
     return has_perfect_left_matching(groups, [count for _, count in rows])

@@ -97,9 +97,9 @@ def project_system(marking: Multiset) -> Multiset:
 
 
 def _by_place(marking: Multiset) -> dict[str, list[tuple[NestedToken, int]]]:
-    """A marking's (token, count) pairs grouped by system place, canonically ordered."""
+    """A marking's (token, count) pairs grouped by system place, in insertion order."""
     out: dict[str, list[tuple[NestedToken, int]]] = {}
-    for tok, c in marking.items():
+    for tok, c in marking.counts():
         out.setdefault(tok.place, []).append((tok, c))
     return out
 
@@ -187,21 +187,24 @@ class ObjectSystem:
             raise ValueError(f"typing must cover system places exactly (missing {sorted(missing)}, extra {sorted(extra)})")
         for p, n in self.typing.items():
             if n not in nets:
-                raise ValueError(f"place {p!r} typed by unknown object net {n!r}")
+                raise _IdError(f"place {p!r} typed by unknown object net {n!r}", "system place", p)
 
         self.events = tuple(events)
         _claim_ids(system.name, [("event", [e.name for e in self.events])])
         for e in self.events:
-            self.system.pre_of(e.transition)  # raises on unknown transition
-            fires_something = False
-            for net_id, ms in e.theta:
-                if net_id not in nets:
-                    raise ValueError(f"event {e.name!r} synchronizes unknown object net {net_id!r}")
-                for t in ms.support():
-                    nets[net_id].pre_of(t)  # raises on unknown transition
-                fires_something = fires_something or bool(ms)
-            if e.transition.startswith(IDLE_PREFIX) and not fires_something:
-                raise ValueError(f"event {e.name!r} rides an idle transition but fires no object transition")
+            try:
+                self.system.pre_of(e.transition)  # raises on unknown transition
+                fires_something = False
+                for net_id, ms in e.theta:
+                    if net_id not in nets:
+                        raise ValueError(f"event {e.name!r} synchronizes unknown object net {net_id!r}")
+                    for t in ms.support():
+                        nets[net_id].pre_of(t)  # raises on unknown transition
+                    fires_something = fires_something or bool(ms)
+                if e.transition.startswith(IDLE_PREFIX) and not fires_something:
+                    raise ValueError(f"event {e.name!r} rides an idle transition but fires no object transition")
+            except ValueError as exc:  # the event's declaration is at fault
+                raise _IdError(str(exc), "event", e.name) from None
 
     # -- markings ----------------------------------------------------------
 
@@ -226,7 +229,7 @@ class ObjectSystem:
     def _inner_by_net(self, marking: Multiset) -> dict[str, Multiset]:
         """Combined inner marking per object net; nets holding nothing are left out."""
         out: dict[str, Multiset] = {}
-        for tok, c in marking.items():
+        for tok, c in marking.counts():
             if tok.inner:
                 net_id = self.typing[tok.place]
                 out[net_id] = out.get(net_id, EMPTY) + tok.inner * c
@@ -362,7 +365,7 @@ def fire(marking: Multiset, mode: EventMode) -> Multiset:
     """Replace the consumed tokens with the produced ones."""
     if not mode.lam.leq(marking):
         raise NotEnabledError(f"event {mode.event.name!r}: consumed tokens {mode.lam} not present in {marking}")
-    return marking.replace(mode.lam.items(), mode.rho.items())
+    return marking.replace(mode.lam.counts(), mode.rho.counts())
 
 
 def covers(marking: Multiset, target: Multiset) -> bool:
@@ -371,9 +374,9 @@ def covers(marking: Multiset, target: Multiset) -> bool:
 
     Each distinct marking token is one right vertex holding as many target
     tokens as it has copies, and each distinct target token a group of copies."""
-    rows = marking.items()
+    rows = list(marking.counts())
     groups: list[tuple[list[int], int]] = []
-    for tok, count in target.items():
+    for tok, count in target.counts():
         fits = [j for j, (r, _) in enumerate(rows) if tok.place == r.place and tok.inner.leq(r.inner)]
         if not fits:  # most markings of a search fail here, before any matching
             return False

@@ -22,7 +22,8 @@ _RESERVED = re.compile(r"[\s{}\[\]#;]")  # \s matches exactly the characters str
 
 
 class _IdError(ValueError):
-    """A broken id rule.  kind and id name the declaration at fault, so a parser can report its line."""
+    """An error one declaration causes: a broken id rule or a bad reference.  kind and id name the
+    declaration at fault, so a parser can report its line."""
 
     def __init__(self, message: str, kind: str, id: str):
         super().__init__(message)

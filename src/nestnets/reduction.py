@@ -207,12 +207,12 @@ def decode_config(net: NuNet, marking: Multiset) -> Multiset | None:
     place_index = {p: i for i, p in enumerate(net.places)}
     vectors = []
     control = 0
-    for tok, c in marking.items():
+    for tok, c in marking.counts():
         if tok == CONTROL:
             control += c
         elif tok.place == SIM:
             vec = [0] * len(net.places)
-            for p, k in tok.inner.items():
+            for p, k in tok.inner.counts():
                 if p not in place_index:
                     return None
                 vec[place_index[p]] = k

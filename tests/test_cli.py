@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nestnets
-from nestnets import cli
+from nestnets import cli, coverability, cover_object_system, explore_object_system, parse_marking, parse_object_system
 from nestnets.cli import main
 from nestnets.coverability import DEFAULT_MAX_STATES
+from nestnets.objectsystem import covers as os_covers
 
 DATA = pathlib.Path(__file__).parent / "data"
 D0 = str(DATA / "d0.nupn")
@@ -214,8 +215,8 @@ def test_cover_eos_many_tokens_on_one_place(capsys, tmp_path):
     # 1100 distinct tokens on one input place, more than the default recursion
     # limit.  The event also needs a token on the empty place ready, so the
     # search skips it before selecting tokens and builds no successor (without
-    # the gate, building and sorting 1100 successors of 1100 tokens each takes
-    # about 5 s).  test_eos.py selects that many tokens directly.
+    # the gate, building 1100 successors of 1100 tokens each takes under 1 s).
+    # test_eos.py selects that many tokens directly.
     f = tmp_path / "many.eos"
     init = " ".join(f"pool {{ a:{k} }}" for k in range(1, 1101))
     f.write_text("eos\nobjectnet doc\n places a\nend\nsystem s\n places pool:doc ready:black done:doc\n"
@@ -225,19 +226,77 @@ def test_cover_eos_many_tokens_on_one_place(capsys, tmp_path):
     assert (code, out, err) == (2, "not covered within depth 0 (state space exhausted)\n", "")
 
 
+# 300 distinct tokens on the one input place, so one layer holds 300
+# successors of 300 tokens each.
+WIDE_POOL = [f"pool {{ a:{k} }}" for k in range(1, 301)]
+WIDE_EOS = ("eos\nobjectnet doc\n places a\nend\nsystem s\n places pool:doc done:doc\n"
+            "trans move\n in pool\n out done\n end\nend\nevents\n event go = move\nend\n"
+            f"init {' '.join(WIDE_POOL)}\n")
+
+
 def test_cover_eos_wide_marking_ungated(capsys, tmp_path):
-    # 300 distinct tokens on the one input place, so one layer holds 300
-    # successors of 300 tokens each, every one sorted and compared.
+    # every successor is built, hashed and checked against the target; only
+    # the printed state is put in canonical order
     f = tmp_path / "wide.eos"
-    pool = [f"pool {{ a:{k} }}" for k in range(1, 301)]
-    f.write_text("eos\nobjectnet doc\n places a\nend\nsystem s\n places pool:doc done:doc\n"
-                 "trans move\n in pool\n out done\n end\nend\nevents\n event go = move\nend\n"
-                 f"init {' '.join(pool)}\n")
+    f.write_text(WIDE_EOS)
     code, out, err = run(capsys, "cover", str(f), "--target", "done { a:300 }", "--depth", "1")
     assert (code, err) == (0, "")
     assert out == ("covered at depth 1\n"
                    "  1. go  take pool { a:300 }  put done { a:300 }\n"
-                   f"state: done {{ a:300 }} {' '.join(pool[:-1])}\n")
+                   f"state: done {{ a:300 }} {' '.join(WIDE_POOL[:-1])}\n")
+
+
+def test_wide_marking_successors_are_never_sorted(monkeypatch):
+    # A search computes no canonical order for a successor marking: not to
+    # order a layer, not to check it against a target.
+    system, init, _ = parse_object_system(WIDE_EOS)
+    layer = explore_object_system(system, init, depth=1).states[1:]
+    assert len(layer) == 300 and all(len(marking) == 300 for marking in layer)
+    checked = []
+
+    def recording_covers(marking, target):
+        checked.append(marking)
+        return os_covers(marking, target)
+
+    monkeypatch.setattr(coverability, "os_covers", recording_covers)
+    answer = cover_object_system(system, init, parse_marking("done { a:301 }", system), 1)
+    assert not answer.covered and len(checked) == 301 and checked[0] == init
+    assert all(m._items is None and m._key is None for m in layer + checked[1:])
+
+
+# A names-style query: many equal names on three distinct vectors.  Its shortest
+# witness is the first found, t0 before t2 in declaration order.
+NAMES_NUPN = ("nupn nm\nplaces p0 p1 p2\nvars x y\nfresh nu\n"
+              "trans t0\n in p0 : y\n in p1 : x\n out p1 : x\n out p2 : y y\nend\n"
+              "trans t1\n in p2 : x\n out p1 : nu\nend\n"
+              "trans t2\n in p0 : y\n out p2 : y\nend\n"
+              "init [0 1 0] [1 1 3] [2 1 2]\n")
+
+
+def test_search_outputs_ignore_the_hash_seed(tmp_path):
+    package_root = str(pathlib.Path(nestnets.__file__).resolve().parent.parent)
+    wide, names = tmp_path / "wide.eos", tmp_path / "names.nupn"
+    wide.write_text(WIDE_EOS)
+    names.write_text(NAMES_NUPN)
+    queries = {
+        (str(wide), "done { a:300 }", "1"): "covered at depth 1\n",
+        (str(names), "[0 1 0] [0 1 0] [0 1 4] [2 1 0]", "3"): (
+            "covered at depth 2\n"
+            "  1. t0 x=[0 1 0] y=[1 1 3]\n"
+            "  2. t1 x=[0 1 5]\n"
+            "state: [0 1 0] [0 1 0] [0 1 4] [2 1 2]\n"),
+    }
+    for (path, target, depth), head in queries.items():
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "nestnets.cli", "cover", path, "--target", target, "--depth", depth],
+                capture_output=True, env={"PYTHONHASHSEED": seed, "PATH": "", "PYTHONPATH": package_root},
+            )
+            for seed in ("0", "1")
+        ]
+        assert [p.returncode for p in outs] == [0, 0] and outs[0].stderr == outs[1].stderr == b""
+        assert outs[0].stdout == outs[1].stdout
+        assert outs[0].stdout.decode().startswith(head)
 
 
 def test_cover_exact_rejected_for_eos(capsys):

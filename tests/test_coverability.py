@@ -3,11 +3,13 @@
 import math
 import random
 import time
+from functools import partial
 
 import pytest
 
 from nestnets import (
     Multiset,
+    NestedToken,
     NotEnabledError,
     NuNet,
     ObjectSystem,
@@ -28,7 +30,7 @@ from nestnets import (
 from nestnets.coverability import _gadget_ends
 from nestnets.nunet import config, validate
 from nestnets.reduction import max_run_length, reduce_nunet
-from netgen import random_config, random_nupn
+from netgen import random_config, random_marking, random_nupn, random_object_system
 
 
 def d0():
@@ -67,12 +69,19 @@ def test_explore_closes_finite_spaces():
     assert res.depth_reached == 1
 
 
-def test_explore_layer_is_sorted():
+def test_explore_layer_keeps_first_found_order():
+    # A layer lists its states as they were first reached: parents in layer
+    # order, each with its modes in sorted order.  Nothing sorts the layer.
     net = d0()
-    res = explore_nunet(net, config(net, [(1, 0), (2, 0)]), depth=1)
-    layer = res.states[1:]
-    assert layer == sorted(layer, key=Multiset.sort_key)
-    assert len(layer) == 2  # two distinct picks, dedup'd as configurations
+    res = explore_nunet(net, config(net, [(1, 0), (2, 0)]), depth=2)
+    layer1, layer2 = res.states[1:3], res.states[3:]
+    assert layer1 == [config(net, [(0, 1), (1, 0), (2, 0)]),  # x picks (1, 0)
+                      config(net, [(1, 0), (1, 0), (1, 1)])]  # x picks (2, 0)
+    assert layer2 == [config(net, [(0, 1), (0, 1), (1, 0), (2, 0)]),  # from layer1[0]
+                      config(net, [(0, 1), (1, 0), (1, 0), (1, 1)]),
+                      config(net, [(0, 2), (1, 0), (1, 0), (1, 0)])]  # from layer1[1]
+    assert layer2 != sorted(layer2, key=Multiset.sort_key)
+    assert [nxt for _, _, nxt in res.edges] == [*layer1, layer2[0], layer2[1], layer2[1], layer2[2]]
 
 
 def test_explore_object_system_counts():
@@ -179,6 +188,51 @@ def test_cover_deterministic():
     r1 = explore_nunet(net, init, 2)
     r2 = explore_nunet(net, init, 2)
     assert r1.states == r2.states and r1.edges == r2.edges
+
+
+# -- insertion order is not an input -------------------------------------------------
+
+def _reversed_order(state: Multiset) -> Multiset:
+    """The same state, built with its elements (and each token's inner places) in reverse canonical order."""
+    def flip(e):
+        return NestedToken(e.place, Multiset(reversed(e.inner.elements()))) if isinstance(e, NestedToken) else e
+    return Multiset(flip(e) for e in reversed(state.elements()))
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except SearchLimitReached as exc:
+        return exc.limit
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_searches_ignore_insertion_order(seed):
+    # One initial state built in two insertion orders gives the same answers:
+    # verdicts, depths, state lists, edges and witnesses.
+    rng = random.Random(seed)
+    cases = []  # (explore, cover, initial state, a target, depth)
+    for _ in range(8):
+        net = random_nupn(rng)
+        init, target = random_config(rng, net, max_tuples=5), random_config(rng, net)
+        cases.append((partial(explore_nunet, net), partial(cover_nunet, net), init, target, 3))
+        system = reduce_nunet(net).system
+        cases.append((partial(explore_object_system, system), partial(cover_object_system, system),
+                      encode_config(net, init), encode_config(net, target), 6))
+        system = random_object_system(rng)
+        cases.append((partial(explore_object_system, system), partial(cover_object_system, system),
+                      random_marking(rng, system, max_tokens=5), random_marking(rng, system), 3))
+    reordered = 0
+    for explore, cover, init, target, depth in cases:
+        flipped = _reversed_order(init)
+        assert flipped == init
+        reordered += list(flipped.counts()) != list(init.counts())
+        first, second = _outcome(explore, init, depth, 3000), _outcome(explore, flipped, depth, 3000)
+        assert first == second
+        targets = [target] if first == "max_states" else [target, first.states[-1]]  # the last one is reachable
+        for goal in targets:
+            assert _outcome(cover, init, goal, depth, 3000) == _outcome(cover, flipped, goal, depth, 3000)
+    assert reordered >= len(cases) // 2, reordered
 
 
 # -- minimal runs of the compiled system ---------------------------------------

@@ -176,8 +176,13 @@ def test_replace_is_sub_then_add(triple, order):
         assert got == expected
         assert hash(got) == hash(expected)
         assert got.sort_key() == expected.sort_key()
-        assert views_of(got, order) == canonical_views(Counter(xs + ys) - Counter(consumed.elements())
-                                                       + Counter(produced.elements()))
+        ref = Counter(xs + ys) - Counter(consumed.elements()) + Counter(produced.elements())
+        assert views_of(got, order) == canonical_views(ref)
+        # the successor keeps its own insertion order, yet every canonical view
+        # equals that of a multiset built afresh in another order
+        fresh = Multiset.from_counts(dict(reversed(ref.items())))
+        assert views_of(got, order) == views_of(fresh, order)
+        assert dict(got.counts()) == dict(fresh.counts()) == ref
     # the counts are copied: the receiver is unchanged, its cached views too
     assert a == Multiset(xs + ys)
     assert views_of(a, order[::-1]) == {name: views_before[name] for name in order[::-1]}
@@ -210,6 +215,14 @@ def test_returned_lists_are_copies(a, view):
     assert hash(a) == expected_hash
     assert a == Multiset(a.elements())
     assert getattr(a, view)() != returned
+
+
+@given(multisets)
+def test_counts_are_items_in_insertion_order(a):
+    built = Multiset(reversed(a.elements()))
+    assert list(built.counts()) == list(Counter(reversed(a.elements())).items())
+    assert built._items is None and built._key is None  # counts() computes no canonical order
+    assert sorted(built.counts(), key=lambda ec: sort_key(ec[0])) == built.items() == a.items()
 
 
 def test_from_counts_copies_its_argument():

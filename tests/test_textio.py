@@ -275,7 +275,7 @@ def test_eos_parse_errors_carry_positions():
         ("eos\nsystem s\n places p:black\nend\ninit p { zz:1 }\n",
          "line 5: token on 'p' (type black) has inner token on foreign place 'zz'"),
         ("eos\nsystem s\n places p\nend\n", "line 3: system place 'p' needs a type: name:Type"),
-        ("eos\nsystem s\n places p:foo\nend\n", "line 2: place 'p' typed by unknown object net 'foo'"),
+        ("eos\nsystem s\n places p:foo\nend\n", "line 3: place 'p' typed by unknown object net 'foo'"),
         ("eos\nobjectnet black\n places x\nend\nsystem s\n places p:black\nend\n",
          "line 2: object net id 'black' is reserved for the empty net"),
         ("eos\nobjectnet a\n places x\n trans t\n  in x\n  bad x\n end\nend\n",
@@ -305,6 +305,16 @@ def test_eos_parse_errors_carry_positions():
         (f"eos\nsystem s\n places p:black\nend\ninit p {{ x:{LONG} }}\n",
          f"line 5: expected an integer count, got '{LONG}'"),
     ]
+    # an event's own errors name its line (17), not the system's (8)
+    events = ("eos\nobjectnet d\n places x\n trans u\n  out x\n end\nend\n"
+              "system s\n places p:d\n trans t\n  in p\n  out p\n end\nend\n"
+              "events\n event ok = t with d: u\n {}\nend\n")
+    cases += [(events.format(event), f"line 17: {message}") for event, message in [
+        ("event e = zz", "net s: unknown transition 'zz'"),
+        ("event e = t with q: u", "event 'e' synchronizes unknown object net 'q'"),
+        ("event e = t with d: zz", "net d: unknown transition 'zz'"),
+        ("event e = idle::p", "event 'e' rides an idle transition but fires no object transition"),
+    ]]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
             parse_object_system(text)
