@@ -194,7 +194,7 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
     # event whose input places are not all occupied has no mode and is skipped.
     inputs = []
     for i, e in enumerate(system.events):
-        places = system.system.pre_of(e.transition).support()
+        places = [p for p, _ in system._shape(e)[0]]
         inputs.append((i, e, places, frozenset(places)))
     memo: dict[tuple, list[EventMode]] = {}
     lam_memo: dict = {}

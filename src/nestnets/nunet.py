@@ -64,7 +64,7 @@ class NuNet:
                 for p, ms in arcs.items():
                     if p not in place_set:
                         raise ValueError(f"net {name}: transition {t!r} {label} arc on unknown place {p!r}")
-                    for v in ms.support():
+                    for v, _ in ms.counts():
                         if v not in all_vars:
                             raise ValueError(f"net {name}: transition {t!r} uses undeclared variable {v!r}")
                     if ms:

@@ -142,6 +142,10 @@ class ObjectSystem:
     ``idle::<place>``; input descriptions never list them.  Events may
     reference an idle transition, in which case they must fire at least
     one object transition.
+
+    Each event's shape is derived once, when the system is built: its input
+    (place, demand) pairs, its output places per object net, and per fired
+    object net theta's combined consumption and production.
     """
 
     def __init__(
@@ -191,33 +195,41 @@ class ObjectSystem:
 
         self.events = tuple(events)
         _claim_ids(system.name, [("event", [e.name for e in self.events])])
+        self._shapes: dict[Event, tuple] = {}
         for e in self.events:
-            try:
-                self.system.pre_of(e.transition)  # raises on unknown transition
-                fires_something = False
-                for net_id, ms in e.theta:
+            try:  # pre_of and pre_sum raise on an unknown transition
+                inputs = tuple(self.system.pre_of(e.transition).items())
+                slots: dict[str, list[str]] = {}
+                for p, c in self.system.post_of(e.transition).items():
+                    slots.setdefault(self.typing[p], []).extend([p] * c)
+                theta = []
+                for net_id, ts in e.theta:
                     if net_id not in nets:
                         raise ValueError(f"event {e.name!r} synchronizes unknown object net {net_id!r}")
-                    for t in ms.support():
-                        nets[net_id].pre_of(t)  # raises on unknown transition
-                    fires_something = fires_something or bool(ms)
-                if e.transition.startswith(IDLE_PREFIX) and not fires_something:
+                    theta.append((net_id, nets[net_id].pre_sum(ts), nets[net_id].post_sum(ts)))
+                if e.transition.startswith(IDLE_PREFIX) and not any(ts for _, ts in e.theta):
                     raise ValueError(f"event {e.name!r} rides an idle transition but fires no object transition")
             except ValueError as exc:  # the event's declaration is at fault
                 raise _IdError(str(exc), "event", e.name) from None
+            self._shapes[e] = (inputs, {n: tuple(slots[n]) for n in sorted(slots)}, tuple(theta))
+
+    def _shape(self, event: Event) -> tuple:
+        if event not in self._shapes:
+            raise ValueError(f"net {self.system.name}: unknown event {event.name!r}")
+        return self._shapes[event]
 
     # -- markings ----------------------------------------------------------
 
     def validate_marking(self, marking: Multiset) -> Multiset:
         """The marking, if each of its tokens lies on a system place and fits that place's net."""
-        for tok in marking.support():
+        for tok, _ in marking.counts():
             if not isinstance(tok, NestedToken):
                 raise ValueError(f"marking element {tok!r} is not a token")
             if tok.place not in self.typing:
                 raise ValueError(f"token on unknown system place {tok.place!r}")
             net = self.object_nets[self.typing[tok.place]]
             allowed = set(net.places)
-            for p in tok.inner.support():
+            for p, _ in tok.inner.counts():
                 if p not in allowed:
                     raise ValueError(
                         f"token on {tok.place!r} (type {net.name}) has inner token on foreign place {p!r}"
@@ -235,34 +247,33 @@ class ObjectSystem:
                 out[net_id] = out.get(net_id, EMPTY) + tok.inner * c
         return out
 
-    def _inner_after(self, event: Event, lam: Multiset) -> dict[str, Multiset] | None:
-        """What rho must hold per object net (conditions 3 and 4).
+    def _inner_after(self, theta: tuple, lam: Multiset) -> dict[str, Multiset] | None:
+        """What rho must hold per object net (conditions 3 and 4), given an event's theta sums.
 
         None when the inner tokens of lam cannot pay for theta.  A net that
         theta does not fire keeps its inner tokens, so only theta is walked.
         """
         inner = self._inner_by_net(lam)
-        for net_id, ts in event.theta:
-            net = self.object_nets[net_id]
+        for net_id, need, gain in theta:
             have = inner.pop(net_id, EMPTY)
-            need = net.pre_sum(ts)
             if not need.leq(have):
                 return None
-            after = have - need + net.post_sum(ts)
+            after = have - need + gain
             if after:
                 inner[net_id] = after
         return inner
 
     def phi(self, event: Event, lam: Multiset, rho: Multiset) -> bool:
         """The mode predicate: see the module docstring, conditions 1 to 4."""
+        _, _, theta = self._shape(event)
         if project_system(lam) != self.system.pre_of(event.transition):
             return False
         if project_system(rho) != self.system.post_of(event.transition):
             return False
-        return self._inner_after(event, lam) == self._inner_by_net(rho)
+        return self._inner_after(theta, lam) == self._inner_by_net(rho)
 
     def enabled(self, marking: Multiset, mode: EventMode) -> bool:
-        return mode.lam.leq(marking) and self.phi(mode.event, mode.lam, mode.rho)
+        return self.phi(mode.event, mode.lam, mode.rho) and mode.lam.leq(marking)  # phi checks the event
 
     def enabled_modes(
         self, marking: Multiset, event: Event, *, lam_memo: dict | None = None
@@ -279,11 +290,10 @@ class ObjectSystem:
         """
         if lam_memo is None:
             lam_memo = {}  # never hits: distinct selections consume distinct multisets
-        tpre = self.system.pre_of(event.transition)
-
+        inputs, _, _ = self._shape(event)
         by_place = _by_place(marking)
         per_place: list[list[dict[NestedToken, int]]] = []
-        for p, need in tpre.items():
+        for p, need in inputs:
             sels = list(_selections(by_place.get(p, []), need))
             if not sels:
                 return []
@@ -305,26 +315,16 @@ class ObjectSystem:
         return [mode for _, modes in per_lam for mode in modes]
 
     def _modes_consuming(self, event: Event, lam: Multiset) -> tuple[tuple, list[EventMode]]:
-        """lam's sort key and the modes of the event consuming exactly lam,
-        ordered by rho."""
-        tpost = self.system.post_of(event.transition)
-        slots_by_net: dict[str, list[str]] = {}
-        for p, c in tpost.items():
-            slots_by_net.setdefault(self.typing[p], []).extend([p] * c)
-
+        """lam's sort key and the modes of the event consuming exactly lam, ordered by rho."""
+        _, slots, theta = self._shape(event)
         modes: dict[tuple, EventMode] = {}
-        aggregates = self._inner_after(event, lam)
-        if aggregates is not None and all(net_id in slots_by_net for net_id in aggregates):
-            net_order = sorted(slots_by_net)
-            per_net = [
-                list(_distributions(aggregates.get(net_id, EMPTY), len(slots_by_net[net_id])))
-                for net_id in net_order
-            ]
+        aggregates = self._inner_after(theta, lam)
+        if aggregates is not None and all(net_id in slots for net_id in aggregates):
+            per_net = [list(_distributions(aggregates.get(n, EMPTY), len(places))) for n, places in slots.items()]
             for assignment in itertools.product(*per_net):
                 tokens: list[NestedToken] = []
-                for net_id, inners in zip(net_order, assignment):
-                    for place, inner in zip(slots_by_net[net_id], inners):
-                        tokens.append(NestedToken(place, inner))
+                for places, inners in zip(slots.values(), assignment):
+                    tokens.extend(map(NestedToken, places, inners))
                 rho = Multiset(tokens)
                 modes[rho.sort_key()] = EventMode(event, lam, rho)
         return lam.sort_key(), [modes[k] for k in sorted(modes)]

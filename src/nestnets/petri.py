@@ -81,7 +81,7 @@ class PetriNet:
             for t, ms in given.items():
                 if t not in trans_set:
                     raise ValueError(f"net {name}: {label} set for unknown transition {t!r}")
-                for p in ms.support():
+                for p, _ in ms.counts():
                     if p not in place_set:
                         raise ValueError(f"net {name}: transition {t!r} {label} uses unknown place {p!r}")
                 store[t] = ms

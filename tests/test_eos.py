@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,14 +18,22 @@ from nestnets import (
     ObjectSystem,
     PetriNet,
     covers,
+    encode_config,
+    explore_object_system,
     fire,
     idle_id,
+    parse_nunet,
     project_system,
+    reduce_nunet,
+    replay_object_system,
 )
 from nestnets.coverability import _object_system_kind
 from nestnets.objectsystem import _distributions
 from netgen import random_marking, random_object_system
 from oracles import eos_mode_keys, eos_successors
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def tok(place, *inner):
@@ -94,6 +103,37 @@ def test_construction_rejections():
                      [Event.make("ev", "e", {"inner": Multiset(["zz"])})])
     with pytest.raises(ValueError):  # idle event firing nothing
         ObjectSystem(base, [inner], typing, [Event.make("ev", "idle::s1")])
+
+
+@pytest.mark.parametrize("event", [
+    Event.make("other", "e", {"ghost": Multiset(["u"])}),  # unknown object net
+    Event.make("other", "e", {"inner": Multiset(["zz"])}),  # unknown object transition
+    Event.make("other", "zz"),  # unknown system transition
+    Event.make("ev", "e"),  # a system event's name, another event
+])
+def test_foreign_event_is_rejected(event):
+    sys_ = small_system()
+    m = Multiset([tok("s1", "a")])
+    mode = EventMode(event, m, Multiset([tok("s2", "b"), tok("s3")]))
+    message = rf"^net outer: unknown event '{event.name}'$"
+    with pytest.raises(ValueError, match=message):
+        sys_.enabled_modes(m, event)
+    with pytest.raises(ValueError, match=message):
+        replay_object_system(sys_, m, [mode])
+    with pytest.raises(ValueError, match=message):  # whether or not the tokens are there
+        replay_object_system(sys_, EMPTY, [mode])
+
+
+def test_searches_sum_no_theta_after_construction(monkeypatch):
+    """Each event's theta sums are taken once, when the system is built."""
+    net, init, _ = parse_nunet((DATA / "d0.nupn").read_text())
+    red = reduce_nunet(net)
+    calls = []
+    for name in ("pre_sum", "post_sum"):
+        original = getattr(PetriNet, name)
+        monkeypatch.setattr(PetriNet, name, lambda self, ts, f=original: calls.append(ts) or f(self, ts))
+    result = explore_object_system(red.system, encode_config(net, init), depth=3)
+    assert result.edges and calls == []
 
 
 @pytest.mark.parametrize("name, message", [
