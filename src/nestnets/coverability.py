@@ -11,8 +11,8 @@ resource bounds: a depth budget and a state cap.  Exceeding the state cap
 raises SearchLimitReached; running out of depth is an ordinary NotCovered
 answer carrying the depth actually explored.  States are found in a fixed
 enumeration order (a layer in the order its states were first reached,
-actions in declaration order, modes sorted) and never sorted, so repeated
-runs produce byte-identical results.
+actions in declaration order, modes in canonical order) and never sorted,
+so repeated runs produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 #
 # A net kind is what the search core sees of a net: validate(state) raises if
 # a state does not fit the net; successors(state) lists (action, next state)
-# pairs in a fixed enumeration order (declaration order, modes sorted);
+# pairs in a fixed enumeration order (declaration order, modes canonical);
 # covers(state, target) says whether a state dominates a target; step(state,
 # action) fires one action, raising if it is not enabled.  The factories below
 # look up nu_* and os_* in this module's globals at each call, so wrappers put
@@ -162,9 +162,10 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 # order (equal tokens met in another order miss, which stays exact), and a hit
 # fires the same modes that enabled_modes would return.  On a miss,
 # enabled_modes looks up each choice of consumed tokens in a second memo of the
-# adapter's, keyed by (event, consumed multiset), because different input
-# tokens often share those choices.  Neither memo is kept on the ObjectSystem,
-# so a long-lived system does not grow between queries.
+# adapter's, keyed by (event, consumed multiset) and holding that choice's
+# mode list, because different input tokens often share those choices.
+# Neither memo is kept on the ObjectSystem, so a long-lived system does not
+# grow between queries.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:

@@ -244,7 +244,9 @@ class ObjectSystem:
         for tok, c in marking.counts():
             if tok.inner:
                 net_id = self.typing[tok.place]
-                out[net_id] = out.get(net_id, EMPTY) + tok.inner * c
+                inner = tok.inner if c == 1 else tok.inner * c  # multisets are immutable, so shared
+                have = out.get(net_id)
+                out[net_id] = inner if have is None else have + inner
         return out
 
     def _inner_after(self, theta: tuple, lam: Multiset) -> dict[str, Multiset] | None:
@@ -284,9 +286,16 @@ class ObjectSystem:
         are distributed over output places of the same type in every
         possible way.  Symmetric choices collapse to one mode.
 
+        Lams come out in canonical order without their sort keys: input
+        places are in canonical order, and so are each place's tokens and,
+        for a demand of two or more, its selections.  All selections on one
+        place have the same size, so no place's block of a lam is a proper
+        prefix of another's.
+
         A search may pass lam_memo, a dict it keeps for its own life: the
         modes of one choice of consumed tokens depend only on the event and
-        those tokens, so they are stored there under (event, lam) and reused.
+        those tokens, so their mode list is stored there under (event, lam)
+        and reused.
         """
         if lam_memo is None:
             lam_memo = {}  # never hits: distinct selections consume distinct multisets
@@ -294,12 +303,17 @@ class ObjectSystem:
         by_place = _by_place(marking)
         per_place: list[list[dict[NestedToken, int]]] = []
         for p, need in inputs:
-            sels = list(_selections(by_place.get(p, []), need))
+            avail = by_place.get(p, [])
+            if len(avail) > 1:  # all on place p, so the inner markings order them
+                avail.sort(key=lambda pair: pair[0].inner.sort_key())
+            sels = list(_selections(avail, need))
             if not sels:
                 return []
+            if need > 1 and len(sels) > 1:  # a selection's pairs are in avail's order
+                sels.sort(key=lambda sel: [(t.inner.sort_key(), k) for t, k in sel.items()])
             per_place.append(sels)
 
-        per_lam: list[tuple[tuple, list[EventMode]]] = []
+        modes: list[EventMode] = []
         for combo in itertools.product(*per_place):
             lam_counts: dict[NestedToken, int] = {}
             for sel in combo:
@@ -309,15 +323,13 @@ class ObjectSystem:
             found = lam_memo.get((event, lam))
             if found is None:
                 found = lam_memo[(event, lam)] = self._modes_consuming(event, lam)
-            per_lam.append(found)
-        # distinct selections consume distinct multisets, so no two keys tie
-        per_lam.sort(key=lambda entry: entry[0])
-        return [mode for _, modes in per_lam for mode in modes]
+            modes.extend(found)
+        return modes
 
-    def _modes_consuming(self, event: Event, lam: Multiset) -> tuple[tuple, list[EventMode]]:
-        """lam's sort key and the modes of the event consuming exactly lam, ordered by rho."""
+    def _modes_consuming(self, event: Event, lam: Multiset) -> list[EventMode]:
+        """The modes of the event consuming exactly lam, ordered by rho."""
         _, slots, theta = self._shape(event)
-        modes: dict[tuple, EventMode] = {}
+        modes: dict[Multiset, EventMode] = {}
         aggregates = self._inner_after(theta, lam)
         if aggregates is not None and all(net_id in slots for net_id in aggregates):
             per_net = [list(_distributions(aggregates.get(n, EMPTY), len(places))) for n, places in slots.items()]
@@ -326,8 +338,10 @@ class ObjectSystem:
                 for places, inners in zip(slots.values(), assignment):
                     tokens.extend(map(NestedToken, places, inners))
                 rho = Multiset(tokens)
-                modes[rho.sort_key()] = EventMode(event, lam, rho)
-        return lam.sort_key(), [modes[k] for k in sorted(modes)]
+                modes[rho] = EventMode(event, lam, rho)
+        if len(modes) > 1:  # never so in compiled systems
+            return sorted(modes.values(), key=lambda mode: mode.rho.sort_key())
+        return list(modes.values())
 
     # -- structure ---------------------------------------------------------
 
@@ -363,9 +377,10 @@ class ObjectSystem:
 
 def fire(marking: Multiset, mode: EventMode) -> Multiset:
     """Replace the consumed tokens with the produced ones."""
-    if not mode.lam.leq(marking):
-        raise NotEnabledError(f"event {mode.event.name!r}: consumed tokens {mode.lam} not present in {marking}")
-    return marking.replace(mode.lam.counts(), mode.rho.counts())
+    try:
+        return marking.replace(mode.lam.counts(), mode.rho.counts())
+    except ValueError:  # replace raises exactly when lam is not contained in the marking
+        raise NotEnabledError(f"event {mode.event.name!r}: consumed tokens {mode.lam} not present in {marking}") from None
 
 
 def covers(marking: Multiset, target: Multiset) -> bool:

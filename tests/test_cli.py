@@ -211,6 +211,30 @@ def test_cover_eos(capsys):
     )
 
 
+def test_cover_compiled_d0_witnesses(capsys, tmp_path):
+    # Both inits list their sim tokens out of canonical order, and the first
+    # pick chooses among them.  In the first only sim { p:1 q:1 } leads to the
+    # target; in the second both tokens do, at the same depth, so the witness
+    # printed is the one whose pick comes first in canonical mode order.
+    eos = tmp_path / "d0.eos"
+    assert run(capsys, "reduce", D0, "-o", str(eos)) == (0, "", "")
+    assert run(capsys, "cover", str(eos), "--init", "selectTran { } sim { p:2 } sim { p:1 q:1 } sim { q:3 }",
+               "--target", "selectTran { } sim { q:2 } sim { q:2 }", "--depth", "6") == (0, (
+        "covered at depth 5\n"
+        "  1. t1::pick::x  take selectTran { } sim { p:1 q:1 }  put t1::select::nu { } t1::selected::x { p:1 q:1 }\n"
+        "  2. t1::pick::nu  take t1::select::nu { }  put t1::run::nu { } t1::run::x { }\n"
+        "  3. t1::fire::x  take t1::run::x { } t1::selected::x { p:1 q:1 }  put sim { q:2 } t1::report { }\n"
+        "  4. t1::fire::nu  take t1::run::nu { }  put sim { p:1 } t1::report { }\n"
+        "  5. t1::done  take t1::report { } t1::report { }  put selectTran { }\n"
+        "state: selectTran { } sim { p:1 } sim { p:2 } sim { q:2 } sim { q:3 }\n"), "")
+    code, out, err = run(capsys, "cover", str(eos), "--init", "selectTran { } sim { p:2 q:1 } sim { p:1 q:1 }",
+                         "--target", "selectTran { } sim { q:2 }", "--depth", "6")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        "  1. t1::pick::x  take selectTran { } sim { p:1 q:1 }  put t1::select::nu { } t1::selected::x { p:1 q:1 }")
+    assert out.splitlines()[-1] == "state: selectTran { } sim { p:1 } sim { p:2 q:1 } sim { q:2 }"
+
+
 def test_cover_eos_many_tokens_on_one_place(capsys, tmp_path):
     # 1100 distinct tokens on one input place, more than the default recursion
     # limit.  The event also needs a token on the empty place ready, so the
@@ -355,7 +379,7 @@ def test_check_lemma_random_deterministic(capsys):
     assert first.count("PASS") == 6
 
 
-def test_check_lemma_max_len_at_longest_run(capsys, tmp_path):
+def test_check_lemma_walks_to_the_longest_run(capsys, tmp_path):
     # runs are walked up to the longest gadget run, 5 steps for d0
     assert run(capsys, "check-lemma", D0) == (
         0, "PASS config [1 0]: 1 successor(s), 2 run(s)\n", "")

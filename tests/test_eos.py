@@ -238,6 +238,32 @@ def test_single_mode_and_fire():
         fire(Multiset([tok("s1")]), mode)
 
 
+def pair_system():
+    """Object net (a -u-> b); event ev takes two tokens off s1 and puts one
+    on s2, both places typed by the object net."""
+    inner = PetriNet("inner", places=("a", "b"), transitions=("u",),
+                     pre={"u": Multiset(["a"])}, post={"u": Multiset(["b"])})
+    system = PetriNet("outer", places=("s1", "s2"), transitions=("e",),
+                      pre={"e": Multiset(["s1", "s1"])}, post={"e": Multiset(["s2"])})
+    events = [Event.make("ev", "e")]
+    return ObjectSystem(system, [inner], {"s1": "inner", "s2": "inner"}, events)
+
+
+def test_fire_rejects_a_count_shortfall():
+    # The marking holds the consumed token, but one copy fewer than lam takes.
+    sys_ = pair_system()
+    ev = sys_.events[0]
+    a = tok("s1", "a")
+    mode = EventMode(ev, Multiset([a, a]), Multiset([tok("s2", "a", "a")]))
+    m = Multiset([tok("s1", "b"), a])
+    pairs = list(m.counts())
+    with pytest.raises(NotEnabledError) as info:
+        fire(m, mode)
+    assert str(info.value) == (
+        "event 'ev': consumed tokens {{s1 { a:1 }, s1 { a:1 }}} not present in {{s1 { a:1 }, s1 { b:1 }}}")
+    assert m == Multiset([a, tok("s1", "b")]) and list(m.counts()) == pairs
+
+
 def test_distribution_across_equal_slots():
     # two output places of the same type: the leftover inner tokens can be
     # split between them, symmetric splits collapse
@@ -486,6 +512,48 @@ def test_modes_sorted_canonically():
             modes = sys_.enabled_modes(m, ev)
             keys = [mode.sort_key() for mode in modes]
             assert keys == sorted(keys)
+
+
+def test_demand_two_selections_in_canonical_order():
+    # Two tokens with two copies each on a place of demand 2: taking one of
+    # each sorts before taking two of the first, whatever the insertion order.
+    sys_ = pair_system()
+    ev = sys_.events[0]
+    a, b = tok("s1", "a"), tok("s1", "b")
+    m = Multiset([b, b, a, a])
+    lams = [mode.lam for mode in sys_.enabled_modes(m, ev)]
+    assert lams == [Multiset([a, b]), Multiset([a, a]), Multiset([b, b])]
+
+
+def test_modes_canonical_with_demands_of_two_or_more():
+    # Random systems of two input places with demands 2-3, several distinct
+    # tokens per place inserted in random order, and one or two output slots.
+    rng = random.Random(2020)
+    inner = PetriNet("inner", places=("a", "b"), transitions=("u",),
+                     pre={"u": Multiset(["a"])}, post={"u": Multiset(["b"])})
+    several = 0
+    for _ in range(100):
+        demands = {"s1": rng.randint(2, 3), "s2": rng.randint(2, 3)}
+        system = PetriNet("outer", places=("s1", "s2", "s3"), transitions=("e",),
+                          pre={"e": Multiset.from_counts(demands)},
+                          post={"e": Multiset.from_counts({"s3": rng.randint(1, 2)})})
+        theta = rng.choice([None, {"inner": Multiset(["u"])}])
+        sys_ = ObjectSystem(system, [inner], dict.fromkeys(("s1", "s2", "s3"), "inner"),
+                            [Event.make("ev", "e", theta)])
+        elements = []
+        for place in demands:
+            inners = rng.sample([("a",) * i + ("b",) * j for i in range(3) for j in range(3)], rng.randint(2, 3))
+            for inner_tokens in inners:
+                elements += [tok(place, *inner_tokens)] * rng.randint(1, 2)
+        rng.shuffle(elements)
+        modes = sys_.enabled_modes(Multiset(elements), sys_.events[0])
+        keys = [mode.sort_key() for mode in modes]
+        assert keys == sorted(keys)
+        assert len(set(modes)) == len(modes)
+        for place in demands:
+            blocks = {Multiset(t for t in mode.lam.elements() if t.place == place) for mode in modes}
+            several += len(blocks) > 1
+    assert several >= 100  # places of demand 2 or more giving several selections
 
 
 def test_enabled_modes_monotone_in_marking():
