@@ -115,8 +115,8 @@ def _build_parser() -> _Parser:
     which.add_argument("--config", help="configuration to check (default: the file's init)")
     which.add_argument("--random", action="store_true", dest="randomized",
                        help="check randomly drawn configurations instead")
-    p.add_argument("--trials", type=_COUNT, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_COUNT, help="with --random: how many to draw (default 20)")
+    p.add_argument("--seed", type=int, help="with --random: the seed of the draw (default 0)")
 
     p = sub.add_parser("dot", help="export a net file to Graphviz DOT")
     p.add_argument("file")
@@ -288,11 +288,13 @@ def _random_config(rng: random.Random, arity: int) -> Multiset:
 
 
 def _cmd_check_lemma(args) -> int:
+    if not args.randomized and (args.trials is not None or args.seed is not None):
+        raise ValueError("--trials and --seed apply only with --random")
     net, init, _ = parse_nunet(_read(args.file))
     reduction = reduce_nunet(net)
     if args.randomized:
-        rng = random.Random(args.seed)
-        configs = [_random_config(rng, len(net.places)) for _ in range(args.trials)]
+        rng = random.Random(args.seed or 0)
+        configs = [_random_config(rng, len(net.places)) for _ in range(20 if args.trials is None else args.trials)]
     elif args.config is not None:
         configs = [parse_config(_inline_or_file(args.config), net)]
     elif init is not None:
@@ -336,15 +338,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, InvalidNetError, NotEnabledError, ValueError) as exc:
+    except (ParseError, NotEnabledError, ValueError, OSError) as exc:  # InvalidNetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchLimitReached as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -92,21 +92,20 @@ def _search(
     """Shared BFS core: explores up to `depth` layers, optionally stopping
     at the shallowest state covering `target` first found in the fixed
     enumeration order (see the module docstring), and appending every edge
-    to `edges` when given.  Returns the states, whether the space closed,
-    the depth reached, the covering state (or None), and parents, which
-    maps each state found to (parent, action) and the initial state to
-    None."""
+    to `edges` when given.  Returns whether the space closed, the depth
+    reached, the covering state (or None), and parents, which maps each
+    state found, layer by layer in the order found, to (parent, action)
+    and the initial state to None."""
     parents: dict[Multiset, tuple[Multiset, Any] | None] = {initial: None}
-    states: list[Multiset] = [initial]
     frontier = [initial]
     d = 0
     while True:
         if target is not None:
             for s in frontier:
                 if kind.covers(s, target):
-                    return states, False, d, s, parents
+                    return False, d, s, parents
         if d >= depth:
-            return states, False, d, None, parents
+            return False, d, None, parents
         layer: list[Multiset] = []
         for s in frontier:
             for action, nxt in kind.successors(s):
@@ -118,8 +117,7 @@ def _search(
                     parents[nxt] = (s, action)
                     layer.append(nxt)
         if not layer:
-            return states, True, d, None, parents
-        states.extend(layer)
+            return True, d, None, parents
         d += 1
         frontier = layer
 
@@ -127,14 +125,14 @@ def _search(
 def _explore(kind: SimpleNamespace, initial: Multiset, depth: int, max_states: int) -> ExploreResult:
     kind.validate(initial)
     edges: list[tuple[Multiset, Any, Multiset]] = []
-    states, exhausted, d, _, _ = _search(kind, initial, depth, max_states, edges=edges)
-    return ExploreResult(states, edges, exhausted, d)
+    exhausted, d, _, parents = _search(kind, initial, depth, max_states, edges=edges)
+    return ExploreResult(list(parents), edges, exhausted, d)
 
 
 def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: int, max_states: int) -> CoverAnswer:
     kind.validate(initial)
     kind.validate(target)
-    _, exhausted, d, hit, parents = _search(kind, initial, depth, max_states, target)
+    exhausted, d, hit, parents = _search(kind, initial, depth, max_states, target)
     if hit is None:
         return CoverAnswer(False, None, None, d, exhausted)
     witness = []

@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from .multisets import Multiset
 from .nunet import NuNet
-from .objectsystem import IDLE_PREFIX, ObjectSystem
+from .objectsystem import IDLE_PREFIX, ObjectSystem, inner_text
 from .petri import BLACK_ID, PetriNet
 
 
 def _q(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _inner_text(inner: Multiset) -> str:
-    entries = " ".join(f"{p}:{c}" for p, c in inner.items())
-    return "{ " + entries + " }" if entries else "{ }"
 
 
 def dot_nunet(net: NuNet) -> str:
@@ -31,24 +26,19 @@ def dot_nunet(net: NuNet) -> str:
         out.append(f"  {_q(t)} [shape=box];")
     for t in net.transitions:
         for p in net.places:
-            if p in net.inflow[t]:
-                label = ", ".join(net.inflow[t][p].elements())
-                out.append(f"  {_q(p)} -> {_q(t)} [label={_q(label)}];")
-            if p in net.outflow[t]:
-                label = ", ".join(net.outflow[t][p].elements())
-                out.append(f"  {_q(t)} -> {_q(p)} [label={_q(label)}];")
+            for flow, tail, head in ((net.inflow[t], p, t), (net.outflow[t], t, p)):
+                if p in flow:
+                    out.append(f"  {_q(tail)} -> {_q(head)} [label={_q(', '.join(flow[p].elements()))}];")
     out.append("}")
     return "\n".join(out) + "\n"
 
 
 def _emit_arcs(out: list[str], net: PetriNet, t: str, indent: str) -> None:
     """Arcs of one transition, labelled with their weight when above 1."""
-    for p, k in net.pre[t].items():
+    arcs = [(p, t, k) for p, k in net.pre[t].items()] + [(t, p, k) for p, k in net.post[t].items()]
+    for tail, head, k in arcs:
         label = f" [label={_q(str(k))}]" if k > 1 else ""
-        out.append(f"{indent}{_q(p)} -> {_q(t)}{label};")
-    for p, k in net.post[t].items():
-        label = f" [label={_q(str(k))}]" if k > 1 else ""
-        out.append(f"{indent}{_q(t)} -> {_q(p)}{label};")
+        out.append(f"{indent}{_q(tail)} -> {_q(head)}{label};")
 
 
 def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> str:
@@ -73,9 +63,8 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
     for p in sysnet.places:
         shape = "triangle" if system.typing[p] == BLACK_ID else "circle"
         out.append(f"  {_q(p)} [shape={shape}];")
-    for t in sysnet.transitions:
-        if t.startswith(IDLE_PREFIX):
-            continue
+    shown = [t for t in sysnet.transitions if not t.startswith(IDLE_PREFIX)]
+    for t in shown:
         label_lines = [t]
         for e in events_on.get(t, []):
             clauses = "; ".join(f"{nid}: " + " ".join(ms.elements()) for nid, ms in e.theta)
@@ -84,9 +73,8 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
             elif e.name != t:
                 label_lines.append(e.name)
         out.append(f"  {_q(t)} [shape=box, label={_q(chr(10).join(label_lines))}];")
-    for t in sysnet.transitions:
-        if not t.startswith(IDLE_PREFIX):
-            _emit_arcs(out, sysnet, t, "  ")
+    for t in shown:
+        _emit_arcs(out, sysnet, t, "  ")
 
     if marking is not None:
         for i, tok in enumerate(marking.elements()):
@@ -94,7 +82,7 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
             out.append(f"  subgraph {_q('cluster_' + node)} {{")
             out.append("    style=dashed;")
             out.append('    label="";')
-            out.append(f"    {_q(node)} [shape=plaintext, label={_q(_inner_text(tok.inner))}];")
+            out.append(f"    {_q(node)} [shape=plaintext, label={_q(inner_text(tok.inner))}];")
             out.append("  }")
             out.append(f"  {_q(node)} -> {_q(tok.place)} [style=dashed, arrowhead=none];")
     out.append("}")

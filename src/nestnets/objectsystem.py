@@ -38,6 +38,12 @@ def idle_id(place: str) -> str:
     return IDLE_PREFIX + place
 
 
+def inner_text(inner: Multiset) -> str:
+    """An inner marking as text: '{ p:k ... }', or '{ }' when empty."""
+    entries = " ".join(f"{p}:{c}" for p, c in inner.items())
+    return "{ " + entries + " }" if entries else "{ }"
+
+
 class NestedToken(NamedTuple):
     """A token of the system net: a place plus an inner marking."""
 
@@ -48,8 +54,7 @@ class NestedToken(NamedTuple):
         return (self.place, self.inner.sort_key())
 
     def __str__(self) -> str:
-        entries = " ".join(f"{p}:{c}" for p, c in self.inner.items())
-        return f"{self.place} {{ {entries} }}" if entries else f"{self.place} {{ }}"
+        return f"{self.place} {inner_text(self.inner)}"
 
 
 @dataclass(frozen=True)

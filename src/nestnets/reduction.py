@@ -53,7 +53,6 @@ class Reduction:
 
     system: ObjectSystem
     net: NuNet
-    object_net_id: str
     name_table: dict[str, NameEntry]
 
 
@@ -190,7 +189,7 @@ def reduce_nunet(net: NuNet) -> Reduction:
 
     system_net = PetriNet("compiled", places, transitions, pre, post)
     system = ObjectSystem(system_net, [data], typing, events)
-    return Reduction(system, net, DATA_ID, table)
+    return Reduction(system, net, table)
 
 
 def encode_config(net: NuNet, configuration: Multiset) -> Multiset:

@@ -54,7 +54,7 @@ import re
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Generator, Iterable, Iterator, Mapping, TypeVar
 
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, config, validate
@@ -63,6 +63,7 @@ from .petri import BLACK_ID, PetriNet, _IdError
 from .reduction import Reduction
 
 T = TypeVar("T")
+_Line = tuple[int, list[str]]  # a line's number and its tokens
 
 
 class ParseError(Exception):
@@ -79,27 +80,31 @@ class InvalidNetError(ValueError):
         self.issues = issues
 
 
-def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of each line that holds a token, read one line at a time."""
+def _tokenize(text: str) -> Generator[_Line, None, int]:
+    """(line number, tokens) of each line that holds a token, read one line at a time; returns
+    the number of the last of them (1 if there is none), the line that end of file is reported at."""
+    last = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         for ch in "[]{}":
             body = body.replace(ch, f" {ch} ")
         tokens = body.split()
         if tokens:
+            last = lineno
             yield lineno, tokens
+    return last
 
 
-def _at(lineno: int, build: Callable[..., T], *args, lines: Mapping | None = None) -> T:
+def _at(lineno: int, build: Callable[..., T], *args, declared_at: Mapping | None = None) -> T:
     """build(*args), turning a ValueError it raises into a ParseError; the one place that does.
 
-    The line is the one `lines` records for the declaration an _IdError names, keyed by (kind, id)
-    or else by id, and lineno for every other error."""
+    The line is the one `declared_at` records for the declaration an _IdError names, keyed by
+    (kind, id) or else by id, and lineno for every other error."""
     try:
         return build(*args)
     except ValueError as exc:
-        if isinstance(exc, _IdError) and lines:
-            lineno = lines.get((exc.kind, exc.id), lines.get(exc.id, lineno))
+        if isinstance(exc, _IdError) and declared_at:
+            lineno = declared_at.get((exc.kind, exc.id), declared_at.get(exc.id, lineno))
         raise ParseError(lineno, str(exc)) from None
 
 
@@ -121,23 +126,21 @@ def _fit(items: list[tuple[int, T]], build: Callable[[list[T]], Multiset]) -> Mu
     return out
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = list(_tokenize(text))
-        self.pos = 0
-
-    def peek(self) -> tuple[int, list[str]] | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def next(self) -> tuple[int, list[str]]:
-        line = self.peek()
-        if line is None:
-            raise ParseError(self.lines[-1][0] if self.lines else 1, "unexpected end of file")
-        self.pos += 1
-        return line
+def _next(lines: Iterator[_Line]) -> _Line:
+    """The next of _tokenize's lines; past the last, an 'unexpected end of file' error at its line."""
+    try:
+        return next(lines)
+    except StopIteration as eof:  # the first next() past the end carries _tokenize's return value
+        raise ParseError(eof.value, "unexpected end of file") from None
 
 
-def _parse_vectors(lines: Iterable[tuple[int, list[str]]]) -> list[tuple[int, tuple[int, ...]]]:
+def _body(lines: Iterator[_Line]) -> Iterator[_Line]:
+    """The lines of a block up to its 'end', read from lines, which nested blocks share."""
+    while (line := _next(lines))[1][0] != "end":
+        yield line
+
+
+def _parse_vectors(lines: Iterable[_Line]) -> list[tuple[int, tuple[int, ...]]]:
     """The [..] vectors on (line number, tokens) lines, each with the line of its '['; one may span lines."""
     vectors = []
     it = ((lineno, tok) for lineno, tokens in lines for tok in tokens)
@@ -155,18 +158,16 @@ def _parse_vectors(lines: Iterable[tuple[int, list[str]]]) -> list[tuple[int, tu
     return vectors
 
 
-def _parse_trans(cur: _Cursor, lineno: int, tokens: list[str], arc: Callable[[int, list[str], str], None]) -> str:
+def _parse_trans(lines: Iterator[_Line], lineno: int, tokens: list[str], arc: Callable[[int, list[str], str], None]) -> str:
     """A 'trans <id> ... end' block, returning its id; arc(lineno, tokens, t) reads each in/out line."""
     if len(tokens) != 2:
         raise ParseError(lineno, "expected 'trans <id>'")
     t = tokens[1]
-    while True:
-        lineno, tokens = cur.next()
-        if tokens[0] == "end":
-            return t
+    for lineno, tokens in _body(lines):
         if tokens[0] not in ("in", "out"):
             raise ParseError(lineno, f"expected 'in', 'out' or 'end', got {tokens[0]!r}")
         arc(lineno, tokens, t)
+    return t
 
 
 # -- name nets -----------------------------------------------------------------
@@ -177,8 +178,8 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
 
     Syntax errors raise ParseError and validation failures InvalidNetError.
     """
-    cur = _Cursor(text)
-    lineno, tokens = cur.next()
+    lines = _tokenize(text)
+    lineno, tokens = _next(lines)
     if tokens[0] != "nupn":
         raise ParseError(lineno, f"expected 'nupn' header, got {tokens[0]!r}")
     if len(tokens) > 2:
@@ -192,7 +193,7 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
     inflow: dict[str, dict[str, Multiset]] = {}
     outflow: dict[str, dict[str, Multiset]] = {}
     given: list[tuple[str, list[tuple[int, tuple[int, ...]]]]] = []  # init/target lines, fitted once the places are known
-    lines: dict[str, int] = {}  # the line that last declared each id
+    declared_at: dict[str, int] = {}  # the line that last declared each id
     declares = {"places": places, "vars": standard, "fresh": fresh}
     header_line = lineno
 
@@ -209,21 +210,20 @@ def parse_nunet(text: str) -> tuple[NuNet, Multiset | None, Multiset | None]:
         arcs = (inflow if tokens[0] == "in" else outflow).setdefault(t, {})
         arcs[p] = arcs.get(p, EMPTY) + Multiset(tokens[3:])
 
-    while cur.peek() is not None:
-        lineno, tokens = cur.next()
+    for lineno, tokens in lines:
         head = tokens[0]
         if head in declares:
             declares[head].extend(tokens[1:])
-            lines.update(dict.fromkeys(tokens[1:], lineno))
+            declared_at.update(dict.fromkeys(tokens[1:], lineno))
         elif head == "trans":
-            transitions.append(_parse_trans(cur, lineno, tokens, parse_arc))
-            lines[transitions[-1]] = lineno
+            transitions.append(_parse_trans(lines, lineno, tokens, parse_arc))
+            declared_at[transitions[-1]] = lineno
         elif head in ("init", "target"):
             given.append((head, _parse_vectors([(lineno, tokens[1:])])))
         else:
             raise ParseError(lineno, f"unexpected keyword {head!r}")
 
-    net = _at(header_line, NuNet, name, places, transitions, standard, fresh, inflow, outflow, lines=lines)
+    net = _at(header_line, NuNet, name, places, transitions, standard, fresh, inflow, outflow, declared_at=declared_at)
     configs = {head: _fit(vectors, partial(config, net)) for head, vectors in given}  # the last line wins
     issues = validate(net)
     if issues:
@@ -243,10 +243,7 @@ def parse_config(text: str, net: NuNet) -> Multiset:
 def print_nunet(net: NuNet, init: Multiset | None = None, target: Multiset | None = None) -> str:
     out = [f"nupn {net.name}"]
     out.append("places " + " ".join(net.places))
-    if net.standard_vars:
-        out.append("vars " + " ".join(net.standard_vars))
-    if net.fresh_vars:
-        out.append("fresh " + " ".join(net.fresh_vars))
+    out += [f"{head} " + " ".join(ids) for head, ids in (("vars", net.standard_vars), ("fresh", net.fresh_vars)) if ids]
     for t in net.transitions:
         out.append(f"trans {t}")
         for label, flow in (("in", net.inflow[t]), ("out", net.outflow[t])):
@@ -254,10 +251,14 @@ def print_nunet(net: NuNet, init: Multiset | None = None, target: Multiset | Non
                 if p in flow:
                     out.append(f"  {label} {p} : " + " ".join(flow[p].elements()))
         out.append("end")
-    if init is not None:
-        out.append(("init " + format_config(init)).rstrip())
-    if target is not None:
-        out.append(("target " + format_config(target)).rstrip())
+    return _print_states(out, format_config, init, target)
+
+
+def _print_states(out: list[str], format_state: Callable, init: Multiset | None, target: Multiset | None) -> str:
+    """The printed lines out, then the init and target lines of the states given."""
+    for head, state in (("init", init), ("target", target)):
+        if state is not None:
+            out.append(f"{head} {format_state(state)}".rstrip())
     return "\n".join(out) + "\n"
 
 
@@ -280,9 +281,9 @@ def _parse_weighted_arc(lineno: int, tokens: list[str], places: list[str]) -> tu
 
 
 def _parse_net_body(
-    cur: _Cursor, header_line: int, name: str, typed: bool, lines: dict
+    lines: Iterator[_Line], header_line: int, name: str, typed: bool, declared_at: dict
 ) -> tuple[PetriNet, dict[str, str]]:
-    """The body of an 'objectnet' or 'system' block, recording in lines where each id was declared."""
+    """The body of an 'objectnet' or 'system' block, recording in declared_at where each id was declared."""
     places: list[str] = []
     typing: dict[str, str] = {}
     transitions: list[str] = []
@@ -294,11 +295,8 @@ def _parse_net_body(
         store = pre if tokens[0] == "in" else post
         store[t] = store.get(t, EMPTY) + Multiset([p]) * k
 
-    while True:
-        lineno, tokens = cur.next()
+    for lineno, tokens in _body(lines):
         head = tokens[0]
-        if head == "end":
-            break
         if head == "places":
             for tok in tokens[1:]:
                 if typed:
@@ -309,16 +307,16 @@ def _parse_net_body(
                 else:
                     p = tok
                 places.append(p)
-                lines[p] = lineno
+                declared_at[p] = lineno
         elif head == "trans":
-            transitions.append(_parse_trans(cur, lineno, tokens, parse_arc))
-            lines[transitions[-1]] = lineno
+            transitions.append(_parse_trans(lines, lineno, tokens, parse_arc))
+            declared_at[transitions[-1]] = lineno
         else:
             raise ParseError(lineno, f"expected 'places', 'trans' or 'end', got {head!r}")
-    return _at(header_line, PetriNet, name, places, transitions, pre, post, lines=lines), typing
+    return _at(header_line, PetriNet, name, places, transitions, pre, post, declared_at=declared_at), typing
 
 
-def _parse_marking(lines: Iterable[tuple[int, list[str]]]) -> list[tuple[int, NestedToken]]:
+def _parse_marking(lines: Iterable[_Line]) -> list[tuple[int, NestedToken]]:
     """The 'place { p:k ... }' tokens on (line number, tokens) lines, each with the line of its place."""
     toks = []
     it = ((lineno, tok) for lineno, tokens in lines for tok in tokens)
@@ -342,8 +340,8 @@ def _parse_marking(lines: Iterable[tuple[int, list[str]]]) -> list[tuple[int, Ne
 
 
 def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multiset | None]:
-    cur = _Cursor(text)
-    lineno, tokens = cur.next()
+    lines = _tokenize(text)
+    lineno, tokens = _next(lines)
     if tokens[0] != "eos":
         raise ParseError(lineno, f"expected 'eos' header, got {tokens[0]!r}")
 
@@ -352,29 +350,25 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
     typing: dict[str, str] = {}
     events: list[Event] = []
     given: list[tuple[str, list[tuple[int, NestedToken]]]] = []  # init/target lines, fitted once the system is built
-    lines: dict = {}  # the line that last declared each place and transition id, and each (kind, id) of the rest
+    declared_at: dict = {}  # the line that last declared each place and transition id, and each (kind, id) of the rest
     system_line = lineno
 
-    while cur.peek() is not None:
-        lineno, tokens = cur.next()
+    for lineno, tokens in lines:
         head = tokens[0]
         if head == "objectnet":
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected 'objectnet <id>'")
-            lines[("object net", tokens[1])] = lineno
-            net, _ = _parse_net_body(cur, lineno, tokens[1], typed=False, lines=lines)
+            declared_at[("object net", tokens[1])] = lineno
+            net, _ = _parse_net_body(lines, lineno, tokens[1], typed=False, declared_at=declared_at)
             object_nets.append(net)
         elif head == "system":
             if len(tokens) > 2:
                 raise ParseError(lineno, "expected 'system [name]'")
             system_line = lineno
             name = tokens[1] if len(tokens) == 2 else "system"
-            system_net, typing = _parse_net_body(cur, lineno, name, typed=True, lines=lines)
+            system_net, typing = _parse_net_body(lines, lineno, name, typed=True, declared_at=declared_at)
         elif head == "events":
-            while True:
-                lineno2, tokens2 = cur.next()
-                if tokens2[0] == "end":
-                    break
+            for lineno2, tokens2 in _body(lines):
                 if tokens2[0] != "event" or len(tokens2) < 4 or tokens2[2] != "=":
                     raise ParseError(lineno2, "expected 'event <name> = <transition> [with <net>: <t>... ; ...]'")
                 ename, etrans = tokens2[1], tokens2[3]
@@ -383,7 +377,7 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
                 if rest:
                     if rest[0] != "with":
                         raise ParseError(lineno2, f"expected 'with', got {rest[0]!r}")
-                    for clause in _split_on(rest[1:], ";"):
+                    for clause in (list(g) for is_sep, g in groupby(rest[1:], ";".__eq__) if not is_sep):
                         # The net id and the separating colon may arrive as one token ("data:") or two
                         # ("data :").  Net ids hold no ':', so a transition may be ':' ("data: : t").
                         if len(clause) >= 2 and clause[0].endswith(":") and len(clause[0]) > 1:
@@ -394,7 +388,7 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
                             raise ParseError(lineno2, "expected '<net>: <transition>...' in event clause")
                         theta[net_id] = theta.get(net_id, EMPTY) + Multiset(body)
                 events.append(Event.make(ename, etrans, theta))
-                lines[("event", ename)] = lineno2
+                declared_at[("event", ename)] = lineno2
         elif head in ("init", "target"):
             given.append((head, _parse_marking([(lineno, tokens[1:])])))
         else:
@@ -402,20 +396,10 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
 
     if system_net is None:
         raise ParseError(system_line, "missing 'system' section")
-    system = _at(system_line, ObjectSystem, system_net, object_nets, typing, events, lines=lines)
+    system = _at(system_line, ObjectSystem, system_net, object_nets, typing, events, declared_at=declared_at)
     markings = {head: _fit(toks, lambda line: system.validate_marking(Multiset(line)))
                 for head, toks in given}  # the last line wins
     return system, markings.get("init"), markings.get("target")
-
-
-def _split_on(tokens: list[str], sep: str) -> list[list[str]]:
-    out: list[list[str]] = [[]]
-    for tok in tokens:
-        if tok == sep:
-            out.append([])
-        else:
-            out[-1].append(tok)
-    return [chunk for chunk in out if chunk]
 
 
 def format_marking(marking: Multiset) -> str:
@@ -427,10 +411,19 @@ def parse_marking(text: str, system: ObjectSystem) -> Multiset:
     return _fit(_parse_marking(_tokenize(text)), lambda line: system.validate_marking(Multiset(line)))
 
 
-def _print_arcs(out: list[str], indent: str, net: PetriNet, t: str) -> None:
-    for label, ms in (("in", net.pre[t]), ("out", net.post[t])):
-        for p, k in ms.items():
-            out.append(f"{indent}{label} {p}" + (f" : {k}" if k > 1 else ""))
+def _print_block(out: list[str], header: str, places: Iterable[str] | None, net: PetriNet,
+                 transitions: Iterable[str]) -> None:
+    """An 'objectnet' or 'system' block: its places line unless places is None, then each transition."""
+    out.append(header)
+    if places is not None:
+        out.append("  places " + " ".join(places))
+    for t in transitions:
+        out.append(f"  trans {t}")
+        for label, ms in (("in", net.pre[t]), ("out", net.post[t])):
+            for p, k in ms.items():
+                out.append(f"    {label} {p}" + (f" : {k}" if k > 1 else ""))
+        out.append("  end")
+    out.append("end")
 
 
 def print_object_system(
@@ -438,26 +431,11 @@ def print_object_system(
 ) -> str:
     out = ["eos"]
     for net in system.object_nets.values():
-        if net.name == BLACK_ID:
-            continue
-        out.append(f"objectnet {net.name}")
-        if net.places:
-            out.append("  places " + " ".join(net.places))
-        for t in net.transitions:
-            out.append(f"  trans {t}")
-            _print_arcs(out, "    ", net, t)
-            out.append("  end")
-        out.append("end")
+        if net.name != BLACK_ID:
+            _print_block(out, f"objectnet {net.name}", net.places or None, net, net.transitions)
     sysnet = system.system
-    out.append(f"system {sysnet.name}")
-    out.append("  places " + " ".join(f"{p}:{system.typing[p]}" for p in sysnet.places))
-    for t in sysnet.transitions:
-        if t.startswith(IDLE_PREFIX):
-            continue
-        out.append(f"  trans {t}")
-        _print_arcs(out, "    ", sysnet, t)
-        out.append("  end")
-    out.append("end")
+    _print_block(out, f"system {sysnet.name}", (f"{p}:{system.typing[p]}" for p in sysnet.places), sysnet,
+                 (t for t in sysnet.transitions if not t.startswith(IDLE_PREFIX)))
     if system.events:
         out.append("events")
         for e in system.events:
@@ -467,11 +445,7 @@ def print_object_system(
                 line += " with " + " ; ".join(clauses)
             out.append(line)
         out.append("end")
-    if init is not None:
-        out.append(("init " + format_marking(init)).rstrip())
-    if target is not None:
-        out.append(("target " + format_marking(target)).rstrip())
-    return "\n".join(out) + "\n"
+    return _print_states(out, format_marking, init, target)
 
 
 # -- reduction sidecar -------------------------------------------------------------

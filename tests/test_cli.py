@@ -14,6 +14,7 @@ from nestnets import cli, coverability, cover_object_system, explore_object_syst
 from nestnets.cli import main
 from nestnets.coverability import DEFAULT_MAX_STATES
 from nestnets.objectsystem import covers as os_covers
+from test_textio import COURIER_DOT
 
 DATA = pathlib.Path(__file__).parent / "data"
 D0 = str(DATA / "d0.nupn")
@@ -414,6 +415,13 @@ def test_check_lemma_config_and_random_exclude_each_other(capsys):
     assert err.endswith("nestnets check-lemma: error: argument --random: not allowed with argument --config\n")
 
 
+@pytest.mark.parametrize("extra", [["--trials", "5"], ["--seed", "3"], ["--trials", "0", "--seed", "0"]])
+@pytest.mark.parametrize("which", [[], ["--config", "[1 0]"]])
+def test_check_lemma_trials_and_seed_need_random(capsys, which, extra):
+    assert run(capsys, "check-lemma", D0, *which, *extra) == (
+        1, "", "error: --trials and --seed apply only with --random\n")
+
+
 # -- dot ---------------------------------------------------------------------------
 
 def test_dot_outputs(capsys, tmp_path):
@@ -424,38 +432,7 @@ def test_dot_outputs(capsys, tmp_path):
     code, out, _ = run(capsys, "dot", COURIER, "-o", str(f))
     assert code == 0
     assert out == ""
-    assert f.read_text() == (
-        "digraph system {\n"
-        "  rankdir=LR;\n"
-        '  subgraph "cluster_doc" {\n'
-        '    label="doc";\n'
-        '    "draft" [shape=circle];\n'
-        '    "final" [shape=circle];\n'
-        '    "stamp" [shape=box];\n'
-        '    "draft" -> "stamp";\n'
-        '    "stamp" -> "final";\n'
-        "  }\n"
-        '  "inbox" [shape=circle];\n'
-        '  "outbox" [shape=circle];\n'
-        '  "spool" [shape=triangle];\n'
-        '  "move" [shape=box, label="move\nprocess ⟨doc: stamp⟩"];\n'
-        '  "inbox" -> "move";\n'
-        '  "move" -> "outbox";\n'
-        '  "move" -> "spool";\n'
-        '  subgraph "cluster_token0" {\n'
-        "    style=dashed;\n"
-        '    label="";\n'
-        '    "token0" [shape=plaintext, label="{ }"];\n'
-        "  }\n"
-        '  "token0" -> "inbox" [style=dashed, arrowhead=none];\n'
-        '  subgraph "cluster_token1" {\n'
-        "    style=dashed;\n"
-        '    label="";\n'
-        '    "token1" [shape=plaintext, label="{ draft:2 }"];\n'
-        "  }\n"
-        '  "token1" -> "inbox" [style=dashed, arrowhead=none];\n'
-        "}\n"
-    )
+    assert f.read_text() == COURIER_DOT
 
 
 # -- argument handling ---------------------------------------------------------------

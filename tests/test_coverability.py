@@ -431,7 +431,7 @@ def _reduction_with_broken_fire(net):
         red.system.typing,
         red.system.events,
     )
-    return Reduction(broken, net, red.object_net_id, red.name_table)
+    return Reduction(broken, net, red.name_table)
 
 
 def test_check_simulation_detects_broken_gadget():

@@ -30,7 +30,7 @@ from nestnets import (
 )
 from nestnets.nunet import config
 from nestnets.textio import _int
-from netgen import random_config, random_nupn
+from netgen import random_config, random_marking, random_nupn, random_object_system
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -304,6 +304,16 @@ def test_eos_parse_errors_carry_positions():
          f"line 5: expected an integer weight, got '{LONG}'"),
         (f"eos\nsystem s\n places p:black\nend\ninit p {{ x:{LONG} }}\n",
          f"line 5: expected an integer count, got '{LONG}'"),
+        # end of file inside a block names the file's last line that holds a token
+        ("", "line 1: unexpected end of file"),
+        ("eos\nobjectnet a\n places x\n", "line 3: unexpected end of file"),
+        ("eos\nobjectnet a\n places x\n trans u\n end\n# c\n\n", "line 5: unexpected end of file"),
+        ("eos\nsystem s\n places p:black\n", "line 3: unexpected end of file"),
+        ("eos\nsystem s\n places p:black\n trans t\n  in p\n", "line 5: unexpected end of file"),
+        ("eos\nsystem s\n places p:black\n trans t\n end\n", "line 5: unexpected end of file"),
+        ("eos\nsystem s\n places p:black\nend\nevents\n", "line 5: unexpected end of file"),
+        ("eos\nsystem s\n places p:black\n trans t\n end\nend\nevents\n event e = t\n# c\n",
+         "line 8: unexpected end of file"),
     ]
     # an event's own errors name its line (17), not the system's (8)
     events = ("eos\nobjectnet d\n places x\n trans u\n  out x\n end\nend\n"
@@ -332,6 +342,161 @@ def test_event_clause_colon_spacing():
     # both "doc: stamp" and "doc : stamp" describe the same event
     spaced = courier_text().replace("doc: stamp", "doc : stamp")
     assert parse_object_system(spaced)[0] == parse_object_system(courier_text())[0]
+
+
+# -- frozen printer output ------------------------------------------------------------
+
+COMPILED_D0 = """\
+eos
+objectnet data
+  places p q
+  trans t1::obj::x
+    in p
+    out q
+  end
+  trans t1::obj::nu
+    out p
+  end
+end
+system compiled
+  places sim:data selectTran:black t1::select::nu:black t1::selected::x:data t1::run::x:black t1::run::nu:black t1::report:black
+  trans t1::pick::x
+    in selectTran
+    in sim
+    out t1::select::nu
+    out t1::selected::x
+  end
+  trans t1::pick::nu
+    in t1::select::nu
+    out t1::run::nu
+    out t1::run::x
+  end
+  trans t1::fire::x
+    in t1::run::x
+    in t1::selected::x
+    out sim
+    out t1::report
+  end
+  trans t1::fire::nu
+    in t1::run::nu
+    out sim
+    out t1::report
+  end
+  trans t1::done
+    in t1::report : 2
+    out selectTran
+  end
+end
+events
+  event t1::pick::x = t1::pick::x
+  event t1::pick::nu = t1::pick::nu
+  event t1::fire::x = t1::fire::x with data: t1::obj::x
+  event t1::fire::nu = t1::fire::nu with data: t1::obj::nu
+  event t1::done = t1::done
+end
+init selectTran { } sim { p:1 }
+target selectTran { } sim { q:1 }
+"""
+
+COURIER_DOT = (
+    "digraph system {\n"
+    "  rankdir=LR;\n"
+    '  subgraph "cluster_doc" {\n'
+    '    label="doc";\n'
+    '    "draft" [shape=circle];\n'
+    '    "final" [shape=circle];\n'
+    '    "stamp" [shape=box];\n'
+    '    "draft" -> "stamp";\n'
+    '    "stamp" -> "final";\n'
+    "  }\n"
+    '  "inbox" [shape=circle];\n'
+    '  "outbox" [shape=circle];\n'
+    '  "spool" [shape=triangle];\n'
+    '  "move" [shape=box, label="move\nprocess ⟨doc: stamp⟩"];\n'
+    '  "inbox" -> "move";\n'
+    '  "move" -> "outbox";\n'
+    '  "move" -> "spool";\n'
+    '  subgraph "cluster_token0" {\n'
+    "    style=dashed;\n"
+    '    label="";\n'
+    '    "token0" [shape=plaintext, label="{ }"];\n'
+    "  }\n"
+    '  "token0" -> "inbox" [style=dashed, arrowhead=none];\n'
+    '  subgraph "cluster_token1" {\n'
+    "    style=dashed;\n"
+    '    label="";\n'
+    '    "token1" [shape=plaintext, label="{ draft:2 }"];\n'
+    "  }\n"
+    '  "token1" -> "inbox" [style=dashed, arrowhead=none];\n'
+    "}\n"
+)
+
+
+def test_print_nunet_d0_frozen():
+    assert print_nunet(*parse_nunet(d0_text())) == (
+        "nupn d0\nplaces p q\nvars x\nfresh nu\ntrans t1\n  in p : x\n  out p : nu\n  out q : x\nend\n"
+        "init [1 0]\ntarget [0 1]\n")
+
+
+def test_print_object_system_frozen():
+    net, init, target = parse_nunet(d0_text())
+    compiled = reduce_nunet(net).system
+    assert print_object_system(compiled, encode_config(net, init), encode_config(net, target)) == COMPILED_D0
+    assert print_object_system(*parse_object_system(courier_text())) == (
+        courier_text().split("\n", 1)[1].replace("inbox { draft:2 } inbox { }", "inbox { } inbox { draft:2 }"))
+    # a system net without places keeps its bare 'places' line; an object net without places has none
+    assert print_object_system(parse_object_system("eos\nsystem s\nend\n")[0]) == "eos\nsystem s\n  places \nend\n"
+    assert print_object_system(parse_object_system("eos\nobjectnet a\nend\nsystem s\nend\n")[0]) == (
+        "eos\nobjectnet a\nend\nsystem s\n  places \nend\n")
+
+
+def test_dot_object_system_frozen():
+    system, init, _ = parse_object_system(courier_text())
+    assert dot_object_system(system, init) == COURIER_DOT
+
+
+# -- layout ----------------------------------------------------------------------------
+
+def _relayout(rng: random.Random, text: str) -> str:
+    """text with blank and comment lines, other indentation, trailing comments and 'd : u' clause spacing."""
+    out = []
+    for line in text.splitlines():
+        for _ in range(rng.randint(0, 1)):
+            out.append(rng.choice(["", "   ", "# a comment line", "\t# indented comment"]))
+        line = re.sub(r"(with|;) ([^\s:]+): ", r"\1 \2 : ", line)  # object net ids hold no ':'
+        line = rng.choice(["", " ", "\t", "      "]) + line.strip() + rng.choice(["", "  ", " # trailing"])
+        out.append(line)
+    return "\n".join(out) + rng.choice(["", "\n", "\n\n# end\n"])
+
+
+def _split_lines(rng: random.Random, state: str) -> str:
+    """An inline state with its tokens split over lines at random gaps."""
+    return re.sub(" ", lambda _: rng.choice([" ", "\n", "\n  ", "  \n\n"]), state)
+
+
+def test_layout_round_trips():
+    rng = random.Random(29)
+    for _ in range(40):
+        net = random_nupn(rng)
+        init, target = random_config(rng, net), random_config(rng, net)
+        text = print_nunet(net, init, target)
+        messy = _relayout(rng, text)
+        assert parse_nunet(messy) == (net, init, target), messy
+        assert print_nunet(*parse_nunet(messy)) == text
+        assert parse_config(_split_lines(rng, format_config(init)), net) == init
+
+        red = reduce_nunet(net)
+        enc_init, enc_target = encode_config(net, init), encode_config(net, target)
+        systems = [(red.system, enc_init, enc_target)]
+        system = random_object_system(rng)
+        systems.append((system, random_marking(rng, system), random_marking(rng, system)))
+        for system, init, target in systems:
+            text = print_object_system(system, init, target)
+            messy = _relayout(rng, text)
+            assert parse_object_system(messy) == (system, init, target), messy
+            assert print_object_system(*parse_object_system(messy)) == text
+            assert parse_marking(_split_lines(rng, format_marking(init)), system) == init
+    assert _relayout(random.Random(0), "  event e = t with d: u v ; f: w").count(" : ") == 2
 
 
 # -- the provenance table -----------------------------------------------------------
