@@ -173,9 +173,9 @@ def _formats() -> dict[str, SimpleNamespace]:
         ),
         "eos": SimpleNamespace(
             name="eos", parse=parse_object_system, parse_state=parse_marking, format_state=format_marking,
-            describe=lambda system: (  # the implicit empty net does not count
+            describe=lambda system: (
                 f"{system.system.name} ({len(system.system.places)} places, {len(system.events)} events, "
-                f"{len(system.object_nets) - 1} object nets)"),
+                f"{len(system.declared_nets)} object nets)"),
             dot=dot_object_system,
             explore=lambda system, state: explore_object_system(system, state, 1),
             cover=lambda system, initial, goal, args: cover_object_system(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .multisets import Multiset
 from .nunet import NuNet
-from .objectsystem import IDLE_PREFIX, ObjectSystem, inner_text
+from .objectsystem import ObjectSystem, inner_text
 from .petri import BLACK_ID, PetriNet
 
 
@@ -43,9 +43,7 @@ def _emit_arcs(out: list[str], net: PetriNet, t: str, indent: str) -> None:
 
 def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> str:
     out = ["digraph system {", "  rankdir=LR;"]
-    for net in system.object_nets.values():
-        if net.name == BLACK_ID or (not net.places and not net.transitions):
-            continue
+    for net in (net for net in system.declared_nets if net.places or net.transitions):
         out.append(f"  subgraph {_q('cluster_' + net.name)} {{")
         out.append(f"    label={_q(net.name)};")
         for p in net.places:
@@ -63,8 +61,7 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
     for p in sysnet.places:
         shape = "triangle" if system.typing[p] == BLACK_ID else "circle"
         out.append(f"  {_q(p)} [shape={shape}];")
-    shown = [t for t in sysnet.transitions if not t.startswith(IDLE_PREFIX)]
-    for t in shown:
+    for t in system.declared_transitions:
         label_lines = [t]
         for e in events_on.get(t, []):
             clauses = "; ".join(f"{nid}: " + " ".join(ms.elements()) for nid, ms in e.theta)
@@ -73,7 +70,7 @@ def dot_object_system(system: ObjectSystem, marking: Multiset | None = None) -> 
             elif e.name != t:
                 label_lines.append(e.name)
         out.append(f"  {_q(t)} [shape=box, label={_q(chr(10).join(label_lines))}];")
-    for t in shown:
+    for t in system.declared_transitions:
         _emit_arcs(out, sysnet, t, "  ")
 
     if marking is not None:

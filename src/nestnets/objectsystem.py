@@ -23,6 +23,7 @@ be split and merged freely across equally typed outputs.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -143,10 +144,10 @@ class ObjectSystem:
     """System net + typed places + object nets + events.
 
     Idle transitions (consume and reproduce one token on a single place)
-    are synthesized for every system place at construction under ids
-    ``idle::<place>``; input descriptions never list them.  Events may
-    reference an idle transition, in which case they must fire at least
-    one object transition.
+    are added to ``system`` under ids ``idle::<place>``, and ``object_nets``
+    holds the implicit empty net ``black``; ``declared_transitions`` and
+    ``declared_nets`` are what the caller gave, for printers.  Events may
+    ride an idle transition if they fire at least one object transition.
 
     Each event's shape is derived once, when the system is built: its input
     (place, demand) pairs, its output places per object net, and per fired
@@ -170,18 +171,18 @@ class ObjectSystem:
         if nets.setdefault(BLACK_ID, BLACK) != BLACK:
             raise _IdError(f"object net id {BLACK_ID!r} is reserved for the empty net", "object net", BLACK_ID)
         self.object_nets = nets
+        self.declared_nets = tuple(net for net in object_nets if net.name != BLACK_ID)
 
         for t in system.transitions:
             if t.startswith(IDLE_PREFIX):
                 raise _IdError(f"transition id {t!r} uses the reserved idle namespace", "system transition", t)
-        with_idles = PetriNet(
-            system.name,
-            system.places,
-            system.transitions + tuple(idle_id(p) for p in system.places),
-            dict(system.pre) | {idle_id(p): Multiset([p]) for p in system.places},
-            dict(system.post) | {idle_id(p): Multiset([p]) for p in system.places},
-        )
-        self.system = with_idles
+        self.declared_transitions = system.transitions
+        # the given net checked its ids and arcs, and the claim below checks the idle ids
+        idles = {idle_id(p): Multiset([p]) for p in system.places}
+        self.system = copy.copy(system)
+        self.system.transitions += tuple(idles)
+        self.system.pre = system.pre | idles
+        self.system.post = system.post | idles
 
         # ids must be globally unique across the system net and all object nets
         groups = [("system place", self.system.places), ("system transition", self.system.transitions)]

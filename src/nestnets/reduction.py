@@ -25,14 +25,15 @@ from dataclasses import dataclass
 
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, config, validate
-from .objectsystem import Event, NestedToken, ObjectSystem
+from .objectsystem import IDLE_PREFIX, Event, NestedToken, ObjectSystem
 from .petri import BLACK_ID, PetriNet
 
 SIM = "sim"
 SELECT_TRAN = "selectTran"
 DATA_ID = "data"
 
-_RESERVED = {SIM, SELECT_TRAN, DATA_ID, BLACK_ID}
+# Transition t generates the ids t::..., so t = "idle" would generate ids in the idle namespace.
+_RESERVED = {SIM, SELECT_TRAN, DATA_ID, BLACK_ID, IDLE_PREFIX.removesuffix("::")}
 
 # The control token: selectTran is black-typed, so this is the only token it can hold.
 CONTROL = NestedToken(SELECT_TRAN, EMPTY)

@@ -58,8 +58,8 @@ from typing import Callable, Generator, Iterable, Iterator, Mapping, TypeVar
 
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, config, validate
-from .objectsystem import IDLE_PREFIX, Event, NestedToken, ObjectSystem
-from .petri import BLACK_ID, PetriNet, _IdError
+from .objectsystem import Event, NestedToken, ObjectSystem
+from .petri import PetriNet, _IdError
 from .reduction import Reduction
 
 T = TypeVar("T")
@@ -430,12 +430,11 @@ def print_object_system(
     system: ObjectSystem, init: Multiset | None = None, target: Multiset | None = None
 ) -> str:
     out = ["eos"]
-    for net in system.object_nets.values():
-        if net.name != BLACK_ID:
-            _print_block(out, f"objectnet {net.name}", net.places or None, net, net.transitions)
+    for net in system.declared_nets:
+        _print_block(out, f"objectnet {net.name}", net.places or None, net, net.transitions)
     sysnet = system.system
     _print_block(out, f"system {sysnet.name}", (f"{p}:{system.typing[p]}" for p in sysnet.places), sysnet,
-                 (t for t in sysnet.transitions if not t.startswith(IDLE_PREFIX)))
+                 system.declared_transitions)
     if system.events:
         out.append("events")
         for e in system.events:

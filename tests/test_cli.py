@@ -46,6 +46,12 @@ def test_validate_eos(capsys):
     assert out == "ok: eos desk (3 places, 2 events, 1 object nets)\n"
 
 
+def test_validate_does_not_count_an_explicit_black_net(capsys, tmp_path):
+    f = tmp_path / "black.eos"
+    f.write_text(pathlib.Path(COURIER).read_text().replace("objectnet doc", "objectnet black\nend\nobjectnet doc"))
+    assert run(capsys, "validate", str(f)) == (0, "ok: eos desk (3 places, 2 events, 1 object nets)\n", "")
+
+
 def test_validate_violations(capsys, tmp_path):
     f = tmp_path / "bad.nupn"
     f.write_text("nupn bad\nplaces p\nvars x\ntrans t\n out p : x\nend\n")
@@ -190,6 +196,18 @@ def test_eos_fits_every_init_line(capsys, tmp_path):
     f.write_text("eos\nsystem s\n places p:black\nend\ninit p { x:1 }\ninit p { }\n")
     assert run(capsys, "validate", str(f)) == (
         1, "", "error: line 5: token on 'p' (type black) has inner token on foreign place 'x'\n")
+
+
+@pytest.mark.parametrize("text, target", [
+    ("nupn n\nplaces p\n", "[1]"),
+    ("eos\nsystem s\n places p:black\nend\n", "p { }"),
+])
+def test_cover_needs_an_initial_state(capsys, tmp_path, text, target):
+    f = tmp_path / "no_init.txt"
+    f.write_text(text)
+    assert run(capsys, "cover", str(f), "--target", target, "--depth", "1") == (
+        1, "", "error: no initial state: the file has no init line and --init was not given\n")
+    assert run(capsys, "cover", str(f), "--target", target, "--depth", "1", "--init", target)[0] == 0
 
 
 def test_cover_init_override(capsys):
@@ -482,14 +500,21 @@ def test_non_integer_count_keeps_argparse_message(capsys):
 
 
 def test_console_entry_point():
+    """The exit code, stdout and stderr of main reach the shell unchanged."""
     # The child imports the same nestnets copy as this process, installed or not.
     package_root = str(pathlib.Path(nestnets.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "nestnets.cli", "validate", D0],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("ok: nupn d0")
+    for argv, expected in [
+        (["validate", D0], (0, "ok: nupn d0 (2 places, 1 transitions)\n", "")),
+        (["cover", D0, "--target", "[1]", "--depth", "1"],
+         (1, "", "error: line 1: vector [1] has arity 1, net has 2 places\n")),
+        (["cover", COURIER, "--target", "outbox { final:1 }", "--init", "inbox { }", "--depth", "3"],
+         (2, "not covered within depth 0 (state space exhausted)\n", "")),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nestnets.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 # -- one parser per process ------------------------------------------------------

@@ -23,6 +23,7 @@ from nestnets import (
     fire,
     idle_id,
     parse_nunet,
+    parse_object_system,
     project_system,
     reduce_nunet,
     replay_object_system,
@@ -53,7 +54,37 @@ def small_system(post_places=("s2", "s3")):
 
 # -- construction ------------------------------------------------------------
 
-def test_idle_transitions_synthesized():
+def _idle_extended(given):
+    """The given system net plus its idle transitions, built from scratch by PetriNet."""
+    idles = {idle_id(p): Multiset([p]) for p in given.places}
+    return PetriNet(given.name, given.places, given.transitions + tuple(idles),
+                    dict(given.pre) | idles, dict(given.post) | idles)
+
+
+def test_idle_transitions_synthesized(monkeypatch):
+    built = []  # (given system net, object nets, ObjectSystem) of every system constructed below
+    init = ObjectSystem.__init__
+
+    def spy(self, system, object_nets, *args):
+        object_nets = tuple(object_nets)
+        init(self, system, object_nets, *args)
+        built.append((system, object_nets, self))
+
+    monkeypatch.setattr(ObjectSystem, "__init__", spy)
+    small_system()
+    parse_object_system((DATA / "courier.eos").read_text())
+    for name in ("d0", "gap"):
+        reduce_nunet(parse_nunet((DATA / f"{name}.nupn").read_text())[0])
+    for seed in range(30):
+        random_object_system(random.Random(seed))
+    monkeypatch.undo()
+    assert len(built) == 34
+    for given, object_nets, sys_ in built:
+        assert sys_.system == _idle_extended(given)
+        assert sys_.system.transitions == given.transitions + tuple(idle_id(p) for p in given.places)
+        assert given == PetriNet(given.name, given.places, given.transitions, given.pre, given.post)  # untouched
+        assert sys_.declared_transitions == tuple(t for t in sys_.system.transitions if not t.startswith("idle::"))
+        assert sys_.declared_nets == tuple(net for net in object_nets if net.name != "black")
     sys_ = small_system()
     assert sys_.system.transitions == ("e", "idle::s1", "idle::s2", "idle::s3")
     for p in ("s1", "s2", "s3"):
@@ -61,10 +92,26 @@ def test_idle_transitions_synthesized():
         assert sys_.system.post_of(idle_id(p)) == Multiset([p])
 
 
+def test_building_runs_no_petri_net_constructor(monkeypatch):
+    inner = PetriNet("inner", places=("a", "b"), transitions=("u",),
+                     pre={"u": Multiset(["a"])}, post={"u": Multiset(["b"])})
+    system = PetriNet("outer", places=("s1", "s2"), transitions=("e",),
+                      pre={"e": Multiset(["s1"])}, post={"e": Multiset(["s2"])})
+    calls = []
+    init = PetriNet.__init__
+    monkeypatch.setattr(PetriNet, "__init__", lambda self, *a, **k: calls.append(a) or init(self, *a, **k))
+    sys_ = ObjectSystem(system, [inner], {"s1": "inner", "s2": "black"},
+                        [Event.make("ev", "e", {"inner": Multiset(["u"])})])
+    assert calls == []
+    assert sys_.system.transitions == ("e", "idle::s1", "idle::s2")
+    assert system.transitions == ("e",) and "idle::s1" not in system.pre  # the given net is not changed
+
+
 def test_black_net_implicit():
     sys_ = small_system()
     assert "black" in sys_.object_nets
     assert sys_.object_nets["black"].places == ()
+    assert [net.name for net in sys_.declared_nets] == ["inner"]
 
 
 def test_construction_rejections():

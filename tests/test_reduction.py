@@ -170,6 +170,11 @@ def test_rejections():
         reduce_nunet(NuNet("n", ("sim",), ()))
     with pytest.raises(ValueError):  # generated namespace
         reduce_nunet(NuNet("n", ("p",), ("a::b",)))
+    # transition idle would generate idle::pick::x, inside the system's idle namespace
+    idle = NuNet("n", ("p",), ("idle",), standard_vars=("x",),
+                 inflow={"idle": {"p": Multiset(["x"])}}, outflow={"idle": {"p": Multiset(["x"])}})
+    with pytest.raises(ValueError, match="^net n: id 'idle' collides with the generated namespace$"):
+        reduce_nunet(idle)
 
 
 # -- the name table ---------------------------------------------------------------

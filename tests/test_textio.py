@@ -292,6 +292,12 @@ def test_eos_parse_errors_carry_positions():
          "line 7: net s: id 'x' used as both system transition and place of object net d"),
         ("eos\nsystem s\n places p:black\n trans idle::p\n end\nend\n",
          "line 4: transition id 'idle::p' uses the reserved idle namespace"),
+        # the idle transition of x takes the id of place idle::x, reported where that place is declared
+        ("eos\nsystem s\n places x:black\n places idle::x:black\nend\n",
+         "line 4: net s: id 'idle::x' used as both system place and system transition"),
+        ("nupn n\n", "line 1: expected 'eos' header, got 'nupn'"),
+        ("eos\nsystem s\n places p:black\nend\ninit { }\n", "line 5: expected a place name, got '{'"),
+        ("eos\nsystem s\n places p:black\nend\ninit p { x }\n", "line 5: expected 'place:count', got 'x'"),
         ("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\nend\nevents\n"
          " event e = t\n event e = t\nend\n", "line 11: net s: duplicate event id 'e'"),
         ("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\nend\nevents\n"
@@ -324,6 +330,7 @@ def test_eos_parse_errors_carry_positions():
         ("event e = t with q: u", "event 'e' synchronizes unknown object net 'q'"),
         ("event e = t with d: zz", "net d: unknown transition 'zz'"),
         ("event e = idle::p", "event 'e' rides an idle transition but fires no object transition"),
+        ("event e = t with d u", "expected '<net>: <transition>...' in event clause"),
     ]]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
@@ -557,6 +564,20 @@ def test_dot_nunet():
     assert '"t1" [shape=box]' in dot
     assert '"p" -> "t1" [label="x"]' in dot
     assert '"t1" -> "p" [label="nu"]' in dot
+
+
+def test_dot_labels_an_event_that_fires_nothing_by_its_own_name():
+    system, _, _ = parse_object_system("eos\nsystem s\n places p:black\n trans t\n  in p\n  out p\n end\nend\n"
+                                       "events\n event go = t\n event t = t\nend\n")
+    assert '  "t" [shape=box, label="t\ngo"];\n' in dot_object_system(system)
+
+
+def test_explicit_black_net_is_neither_printed_nor_drawn():
+    implicit, init, target = parse_object_system(courier_text())
+    explicit, _, _ = parse_object_system(courier_text().replace("objectnet doc", "objectnet black\nend\nobjectnet doc"))
+    assert "black" in explicit.object_nets and explicit == implicit
+    assert print_object_system(explicit, init, target) == print_object_system(implicit, init, target)
+    assert dot_object_system(explicit, init) == dot_object_system(implicit, init) == COURIER_DOT
 
 
 def test_dot_object_system():
