@@ -159,15 +159,22 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 # tokens, grouped as enabled_modes groups them, in the marking's insertion
 # order (equal tokens met in another order miss, which stays exact), and a hit
 # fires the same modes that enabled_modes would return.  On a miss,
-# enabled_modes looks up each choice of consumed tokens in a second memo of the
-# adapter's, keyed by (event, consumed multiset) and holding that choice's
-# mode list, because different input tokens often share those choices.
-# Neither memo is kept on the ObjectSystem, so a long-lived system does not
-# grow between queries.
+# enabled_modes reads the adapter's grouping instead of grouping again, and
+# looks up each choice of consumed tokens in a second memo of the adapter's,
+# keyed by (event, consumed multiset) and holding that choice's mode list,
+# because different input tokens often share those choices.  Neither memo is
+# kept on the ObjectSystem, so a long-lived system does not grow between
+# queries.
+#
+# A name-net adapter keeps nu_covers' domination memo for its own life in the
+# same way: per target, which target tuples each configuration tuple met so far
+# dominates, so successive configurations, which share most of their tuples,
+# pay the dominance index only for the tuples new to the search.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
     """Configurations, (transition, NuMode) actions, embedding order (inclusion when exact)."""
+    memo: dict = {}  # nu_covers' domination memo, for this adapter's life (one search)
     return SimpleNamespace(
         validate=lambda configuration: nu_config(net, configuration.support()),  # the vectors fit the net
         successors=lambda configuration: [
@@ -175,7 +182,7 @@ def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
             for t in net.transitions
             for mode in nu_enabled_modes(net, configuration, t)
         ],
-        covers=lambda configuration, target: nu_covers(configuration, target, exact=exact),
+        covers=lambda configuration, target: nu_covers(configuration, target, exact=exact, memo=memo),
         step=lambda configuration, action: nu_fire(net, configuration, *action),
     )
 
@@ -208,7 +215,7 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
             key = (i, *(tuple(by_place[p]) for p in places))
             modes = memo.get(key)
             if modes is None:
-                modes = memo[key] = system.enabled_modes(marking, e, lam_memo=lam_memo)
+                modes = memo[key] = system.enabled_modes(marking, e, lam_memo=lam_memo, by_place=by_place)
             out.extend((mode, os_fire(marking, mode)) for mode in modes)
         return out
 

@@ -287,7 +287,16 @@ def _dominators(distinct: list[tuple], wanted: list[tuple]) -> dict[tuple, list[
     return out
 
 
-def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bool:
+def _file(known: dict[tuple, list[int]], goals: list, new: list[tuple], edges: dict[tuple, list[int]]) -> None:
+    """Store, per tuple of new, the indices of the goals it dominates: _dominators' edges inverted."""
+    dominated: list[list[int]] = [[] for _ in new]
+    for g, (tup, _) in enumerate(goals):
+        for j in edges[tup]:
+            dominated[j].append(g)
+    known.update(zip(new, dominated))
+
+
+def covers(configuration: Multiset, target: Multiset, exact: bool = False, *, memo: dict | None = None) -> bool:
     """Domination of a target configuration.
 
     Default reading: an injective assignment of target tuples to
@@ -297,12 +306,43 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False) -> bo
     The matching's edges come from a dominance index over distinct tuples
     (_dominators).  Each distinct configuration tuple is a right vertex
     holding up to its count, and each distinct target tuple a group of copies.
+
+    A search may pass memo, a dict it keeps for its own life.  Per target it
+    holds the target's distinct tuples and, per configuration tuple seen so
+    far, the indices of those it dominates, so _dominators runs only on the
+    tuples new to the search.  A call that meets only new tuples takes its
+    fits straight from _dominators and leaves filing them to the next call,
+    so a lone call costs what a memo-free one does.  exact=True never reads
+    the memo.
     """
     if exact:
         return target.leq(configuration)
     if len(target) > len(configuration):
         return False
-    rows, goals = list(configuration.counts()), list(target.counts())
-    edges = _dominators([tup for tup, _ in rows], [tup for tup, _ in goals])
-    groups = [(edges[tup], count) for tup, count in goals]
-    return has_perfect_left_matching(groups, [count for _, count in rows])
+    if memo is None:
+        memo = {}
+    # Keyed by the target's identity: a lone call on a large target would pay for
+    # its hash and gain nothing.  The entry holds the target, so the id stays its own.
+    entry = memo.get(id(target))
+    if entry is None:
+        entry = memo[id(target)] = [target, list(target.counts()), {}, None]
+    goals, known = entry[1:3]  # known: configuration tuple -> ascending indices into goals
+    if entry[3] is not None:  # the edges of a call whose tuples were all new, filed once another call comes
+        _file(known, goals, *entry[3])
+        entry[3] = None
+    rows = list(configuration.counts())
+    new = [tup for tup, _ in rows if tup not in known] if known else [tup for tup, _ in rows]
+    if new and len(new) == len(rows):  # new is rows, so the edges are the fits
+        edges = _dominators(new, [tup for tup, _ in goals])
+        entry[3] = (new, edges)
+        fits = [edges[tup] for tup, _ in goals]
+    else:
+        if new:
+            _file(known, goals, new, _dominators(new, [tup for tup, _ in goals]))
+        fits = [[] for _ in goals]
+        for i, (tup, _) in enumerate(rows):
+            for g in known[tup]:
+                fits[g].append(i)
+    if not all(fits):  # most configurations of a search fail here, before any matching
+        return False
+    return has_perfect_left_matching([(fit, count) for fit, (_, count) in zip(fits, goals)], [count for _, count in rows])

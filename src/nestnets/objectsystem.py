@@ -284,7 +284,7 @@ class ObjectSystem:
         return self.phi(mode.event, mode.lam, mode.rho) and mode.lam.leq(marking)  # phi checks the event
 
     def enabled_modes(
-        self, marking: Multiset, event: Event, *, lam_memo: dict | None = None
+        self, marking: Multiset, event: Event, *, lam_memo: dict | None = None, by_place: dict | None = None
     ) -> list[EventMode]:
         """All modes of an event enabled at a marking, canonically ordered.
 
@@ -301,17 +301,19 @@ class ObjectSystem:
         A search may pass lam_memo, a dict it keeps for its own life: the
         modes of one choice of consumed tokens depend only on the event and
         those tokens, so their mode list is stored there under (event, lam)
-        and reused.
+        and reused.  It may also pass by_place, its own _by_place(marking),
+        which is read and not changed.
         """
         if lam_memo is None:
             lam_memo = {}  # never hits: distinct selections consume distinct multisets
+        if by_place is None:
+            by_place = _by_place(marking)
         inputs, _, _ = self._shape(event)
-        by_place = _by_place(marking)
         per_place: list[list[dict[NestedToken, int]]] = []
         for p, need in inputs:
             avail = by_place.get(p, [])
             if len(avail) > 1:  # all on place p, so the inner markings order them
-                avail.sort(key=lambda pair: pair[0].inner.sort_key())
+                avail = sorted(avail, key=lambda pair: pair[0].inner.sort_key())
             sels = list(_selections(avail, need))
             if not sels:
                 return []

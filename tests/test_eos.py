@@ -28,8 +28,9 @@ from nestnets import (
     reduce_nunet,
     replay_object_system,
 )
+from nestnets import coverability, objectsystem
 from nestnets.coverability import _object_system_kind
-from nestnets.objectsystem import _distributions
+from nestnets.objectsystem import _by_place, _distributions
 from netgen import random_marking, random_object_system
 from oracles import eos_mode_keys, eos_successors
 
@@ -517,6 +518,45 @@ def test_adapter_memo_ignores_tokens_off_the_input_places():
     assert [mode for mode, _ in first] == [mode for mode, _ in second]
     assert [nxt for _, nxt in first] != [nxt for _, nxt in second]
     assert [e.name for _, e in asked] == ["ev"]
+
+
+def test_enabled_modes_reads_a_given_grouping_without_changing_it():
+    # The adapter passes its own grouping, whose lists keep insertion order
+    # because later memo keys are built from them; the modes must be those
+    # of the call that groups the marking itself.
+    rng = random.Random(2324)
+    unordered = 0
+    for _ in range(150):
+        sys_ = random_object_system(rng)
+        m = random_marking(rng, sys_, max_tokens=rng.choice([2, 3, 4]))
+        grouping = _by_place(m)
+        before = {p: list(pairs) for p, pairs in grouping.items()}
+        for e in sys_.events:
+            assert sys_.enabled_modes(m, e, by_place=grouping) == sys_.enabled_modes(m, e)
+        assert grouping == before
+        unordered += any(pairs != sorted(pairs, key=lambda pair: pair[0].inner.sort_key()) for pairs in before.values())
+    assert unordered > 10  # some place's tokens are not in canonical order
+
+
+def test_adapter_groups_each_marking_once(monkeypatch):
+    grouped = {"adapter": 0, "enabled_modes": 0}
+
+    def counting(who):
+        def by_place(marking):
+            grouped[who] += 1
+            return _by_place(marking)
+        return by_place
+
+    monkeypatch.setattr(coverability, "_by_place", counting("adapter"))
+    monkeypatch.setattr(objectsystem, "_by_place", counting("enabled_modes"))
+    rng = random.Random(2325)
+    asked = 0
+    for _ in range(40):
+        sys_ = random_object_system(rng)
+        enumerated = counting_modes(sys_)
+        explore_object_system(sys_, random_marking(rng, sys_, max_tokens=3), depth=3, max_states=60)
+        asked += len(enumerated)
+    assert grouped["adapter"] > 50 and asked > 50 and grouped["enabled_modes"] == 0
 
 
 def test_adapter_memo_tells_inner_markings_apart():

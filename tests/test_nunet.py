@@ -1,5 +1,6 @@
 """Name-carrying nets: validity, modes, firing, the embedding order."""
 
+import copy
 import itertools
 import random
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from nestnets import Multiset, NotEnabledError, NuNet
+from nestnets import Multiset, NotEnabledError, NuNet, cover_nunet, nunet
 from nestnets.matching import has_perfect_left_matching
 from nestnets.nunet import (
     NuMode,
@@ -529,6 +530,114 @@ def test_covers_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000, peak
+
+
+def test_covers_memory_bounded_with_memo():
+    # a search's memo holds the index lists of the tuples it has seen, and the
+    # second call files the first call's edges into it
+    n = 10_000
+    configuration = Multiset((j + 1, n - j) for j in range(n))
+    target = Multiset((i, n - i) for i in range(n))
+    nearly = Multiset([(0, n + 1)] + [(j + 1, n - j) for j in range(1, n)])  # all but one tuple seen
+    for ms in (configuration, target, nearly):
+        ms.items()  # the canonical orders are not the check's own memory
+    memo = {}
+    tracemalloc.start()
+    try:
+        assert covers(configuration, target, memo=memo)
+        assert covers(nearly, target, memo=memo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+
+
+def random_tuples(rng, pool, most):
+    """A multiset of up to `most` tuples drawn from pool, copies allowed."""
+    return Multiset(rng.choice(pool) for _ in range(rng.randint(0, most)))
+
+
+def test_covers_shared_memo_matches_memo_free_and_brute_force():
+    # One memo serves many configurations and two targets, as a search's memo
+    # would if it met both.  The tuples come from a small pool of arities 0-3,
+    # so calls mix tuples the memo has seen with new ones, and some calls see
+    # only new tuples after others have been filed.
+    rng = random.Random(2323)
+    verdicts = []
+    for _ in range(60):
+        pool = list({tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(3, 10))})
+        targets = [random_tuples(rng, pool, 3) for _ in range(2)]
+        memo = {}
+        for _ in range(12):
+            configuration = random_tuples(rng, pool, 6)
+            for target in targets + [Multiset(targets[0].elements())]:  # an equal target, another object
+                verdicts.append(covers(configuration, target, memo=memo))
+                assert verdicts[-1] == covers(configuration, target) == covers_by_brute_force(configuration, target), (
+                    configuration, target)
+        assert memo
+    assert 300 < sum(verdicts) < len(verdicts) - 300  # both verdicts are well represented
+
+
+def test_covers_exact_never_touches_the_memo():
+    memo = {}
+    big = Multiset([(2, 1), (0, 1)])
+    assert covers(big, Multiset([(0, 1)]), exact=True, memo=memo)
+    assert not covers(big, Multiset([(1, 0)]), exact=True, memo=memo)
+    assert memo == {}
+
+
+def dominators_calls(monkeypatch):
+    """Route nunet._dominators through a recorder: returns the list of the
+    (distinct tuples, wanted tuples) of each call."""
+    calls = []
+    dominators = nunet._dominators
+
+    def recorded(distinct, wanted):
+        calls.append((list(distinct), list(wanted)))
+        return dominators(distinct, wanted)
+
+    monkeypatch.setattr(nunet, "_dominators", recorded)
+    return calls
+
+
+def test_search_indexes_each_tuple_once_per_target(monkeypatch):
+    # A search covers-checks every state it reaches, and most states share
+    # their tuples with the states before them.  t1 moves a name's token
+    # from p to two on q, and t2 one from q to r, minting a name on p.
+    net = NuNet(
+        "grow", ("p", "q", "r"), ("t1", "t2"), ("x",), ("nu",),
+        inflow={"t1": {"p": Multiset(["x"])}, "t2": {"q": Multiset(["x"])}},
+        outflow={"t1": {"q": Multiset(["x", "x"])}, "t2": {"r": Multiset(["x"]), "p": Multiset(["nu"])}},
+    )
+    initial = config(net, [(2, 0, 0), (1, 1, 0), (1, 1, 0), (0, 1, 1)])
+    calls = dominators_calls(monkeypatch)
+    checks = []
+    real_covers = nunet.covers
+    monkeypatch.setattr("nestnets.coverability.nu_covers", lambda *a, **k: checks.append(a) or real_covers(*a, **k))
+    for target in (config(net, [(0, 0, 9)]), config(net, [(0, 1, 1), (0, 1, 1), (0, 0, 5)])):  # neither is coverable
+        calls.clear()
+        checks.clear()
+        answer = cover_nunet(net, initial, target, depth=4)
+        assert not answer.covered
+        passed = [tup for distinct, wanted in calls for tup in distinct]
+        assert len(passed) == len(set(passed))  # each distinct tuple once
+        assert set(passed) == {tup for state, _ in checks for tup in state.support()}
+        assert all(set(wanted) == set(target.support()) for _, wanted in calls)
+        assert len(checks) > 4 * len(calls)  # most checks index nothing
+
+
+def test_domination_memo_dies_with_the_search(monkeypatch):
+    net = d0()
+    initial = config(net, [(2, 0), (1, 0)])
+    target = config(net, [(0, 3)])
+    before = copy.deepcopy(vars(net))
+    calls = dominators_calls(monkeypatch)
+    first = cover_nunet(net, initial, target, depth=3)
+    once = list(calls)
+    assert once and vars(net) == before
+    second = cover_nunet(net, initial, target, depth=3)
+    assert first == second and calls[len(once):] == once  # the second search indexes every tuple again
+    assert vars(net) == before
 
 
 def covers_by_pairs(configuration, target):
