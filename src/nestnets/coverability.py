@@ -168,8 +168,9 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 #
 # A name-net adapter keeps nu_covers' domination memo for its own life in the
 # same way: per target, which target tuples each configuration tuple met so far
-# dominates, so successive configurations, which share most of their tuples,
-# pay the dominance index only for the tuples new to the search.
+# dominates.  A check indexes only the tuples new to the search, files the result
+# and reads every tuple's edges from the memo, so each distinct tuple is indexed
+# once per target.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:

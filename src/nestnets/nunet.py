@@ -249,51 +249,40 @@ def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
     return configuration.replace([(occ[i], 1) for i in idxs], updated + [(vectors[v][1], 1) for v in fresh])
 
 
-def _dominators(distinct: list[tuple], wanted: list[tuple]) -> dict[tuple, list[int]]:
-    """Per wanted tuple, the ascending indices j of the distinct tuples that dominate it.
+def _dominators(new: list[tuple], goals: list[tuple]) -> dict[tuple, list[int]]:
+    """Per tuple of new, the ascending indices g of the goals it dominates.
 
-    Bit j of a mask stands for distinct[j].  Per coordinate, one sweep down
-    the column sorted in descending order ANDs the mask of every wanted
-    tuple in a chunk of 1024 with the tuples at least as large there, and
-    the chunks bound how many masks are alive at once.
-    """
+    Bit g of a mask stands for goals[g].  Per coordinate, one sweep up the column sorted in ascending
+    order ANDs the mask of each tuple of new with the goals at most as large there.  The tuples of new
+    go 1024 at a time, which bounds the masks alive at once."""
     out: dict[tuple, list[int]] = {}
-    for arity in {len(tup) for tup in wanted}:
-        same = [j for j, tup in enumerate(distinct) if len(tup) == arity]
-        start = -1 if arity else sum(1 << j for j in same)  # a coordinate sweep sets only this arity
-        columns = [sorted(same, key=lambda j: distinct[j][k], reverse=True) for k in range(arity)]
-        goals = [tup for tup in wanted if len(tup) == arity]
-        for at in range(0, len(goals), 1024):
-            chunk = goals[at:at + 1024]
+    for arity in {len(tup) for tup in new}:
+        same = [g for g, tup in enumerate(goals) if len(tup) == arity]
+        start = -1 if arity else sum(1 << g for g in same)  # a coordinate sweep sets only this arity
+        columns = [sorted(same, key=lambda g: goals[g][k]) for k in range(arity)]
+        tuples = [tup for tup in new if len(tup) == arity]
+        for at in range(0, len(tuples), 1024):
+            chunk = tuples[at:at + 1024]
             masks = dict.fromkeys(chunk, start)
             for k, column in enumerate(columns):
-                chunk.sort(key=itemgetter(k), reverse=True)
-                buf = bytearray(len(distinct) // 8 + 1)
+                chunk.sort(key=itemgetter(k))
+                buf = bytearray(len(goals) // 8 + 1)
                 passed, size = 0, len(column)
                 for tup in chunk:
-                    while passed < size and distinct[column[passed]][k] >= tup[k]:
-                        j = column[passed]
-                        buf[j >> 3] |= 1 << (j & 7)
+                    while passed < size and goals[column[passed]][k] <= tup[k]:
+                        g = column[passed]
+                        buf[g >> 3] |= 1 << (g & 7)
                         passed += 1
                     masks[tup] &= int.from_bytes(buf, "little")
             for tup, mask in masks.items():
                 low = max((mask & -mask).bit_length() - 1, 0)  # the lowest set bit
-                bits = bin(mask >> low)[:1:-1]  # bit low + j at position j
-                j = bits.find("1")
+                bits = bin(mask >> low)[:1:-1]  # bit low + g at position g
+                g = bits.find("1")
                 out[tup] = ones = []
-                while j >= 0:
-                    ones.append(low + j)
-                    j = bits.find("1", j + 1)
+                while g >= 0:
+                    ones.append(low + g)
+                    g = bits.find("1", g + 1)
     return out
-
-
-def _file(known: dict[tuple, list[int]], goals: list, new: list[tuple], edges: dict[tuple, list[int]]) -> None:
-    """Store, per tuple of new, the indices of the goals it dominates: _dominators' edges inverted."""
-    dominated: list[list[int]] = [[] for _ in new]
-    for g, (tup, _) in enumerate(goals):
-        for j in edges[tup]:
-            dominated[j].append(g)
-    known.update(zip(new, dominated))
 
 
 def covers(configuration: Multiset, target: Multiset, exact: bool = False, *, memo: dict | None = None) -> bool:
@@ -310,11 +299,8 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False, *, me
     A search may pass memo, a dict it keeps for its own life.  Per target it
     holds the target's distinct tuples and, per configuration tuple seen so
     far, the indices of those it dominates, so _dominators runs only on the
-    tuples new to the search.  A call that meets only new tuples takes its
-    fits straight from _dominators and leaves filing them to the next call,
-    so a lone call costs what a memo-free one does.  exact=True never reads
-    the memo.
-    """
+    tuples new to the search.  A call without memo uses a throwaway one.
+    exact=True never reads the memo."""
     if exact:
         return target.leq(configuration)
     if len(target) > len(configuration):
@@ -325,24 +311,16 @@ def covers(configuration: Multiset, target: Multiset, exact: bool = False, *, me
     # its hash and gain nothing.  The entry holds the target, so the id stays its own.
     entry = memo.get(id(target))
     if entry is None:
-        entry = memo[id(target)] = [target, list(target.counts()), {}, None]
-    goals, known = entry[1:3]  # known: configuration tuple -> ascending indices into goals
-    if entry[3] is not None:  # the edges of a call whose tuples were all new, filed once another call comes
-        _file(known, goals, *entry[3])
-        entry[3] = None
+        entry = memo[id(target)] = (target, list(target.counts()), {})
+    _, goals, known = entry  # known: configuration tuple -> ascending indices into goals
     rows = list(configuration.counts())
-    new = [tup for tup, _ in rows if tup not in known] if known else [tup for tup, _ in rows]
-    if new and len(new) == len(rows):  # new is rows, so the edges are the fits
-        edges = _dominators(new, [tup for tup, _ in goals])
-        entry[3] = (new, edges)
-        fits = [edges[tup] for tup, _ in goals]
-    else:
-        if new:
-            _file(known, goals, new, _dominators(new, [tup for tup, _ in goals]))
-        fits = [[] for _ in goals]
-        for i, (tup, _) in enumerate(rows):
-            for g in known[tup]:
-                fits[g].append(i)
+    new = [tup for tup, _ in rows if tup not in known]
+    if new:
+        known.update(_dominators(new, [tup for tup, _ in goals]))
+    fits = [[] for _ in goals]
+    for i, (tup, _) in enumerate(rows):
+        for g in known[tup]:
+            fits[g].append(i)
     if not all(fits):  # most configurations of a search fail here, before any matching
         return False
     return has_perfect_left_matching([(fit, count) for fit, (_, count) in zip(fits, goals)], [count for _, count in rows])

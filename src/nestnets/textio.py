@@ -362,6 +362,8 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
             net, _ = _parse_net_body(lines, lineno, tokens[1], typed=False, declared_at=declared_at)
             object_nets.append(net)
         elif head == "system":
+            if system_net is not None:
+                raise ParseError(lineno, "duplicate 'system' section")
             if len(tokens) > 2:
                 raise ParseError(lineno, "expected 'system [name]'")
             system_line = lineno
@@ -377,7 +379,10 @@ def parse_object_system(text: str) -> tuple[ObjectSystem, Multiset | None, Multi
                 if rest:
                     if rest[0] != "with":
                         raise ParseError(lineno2, f"expected 'with', got {rest[0]!r}")
-                    for clause in (list(g) for is_sep, g in groupby(rest[1:], ";".__eq__) if not is_sep):
+                    clauses = [list(g) for is_sep, g in groupby(rest[1:], ";".__eq__) if not is_sep]
+                    if len(clauses) != rest.count(";") + 1:  # groupby skips the empty clauses
+                        raise ParseError(lineno2, "expected '<net>: <transition>...' in event clause")
+                    for clause in clauses:
                         # The net id and the separating colon may arrive as one token ("data:") or two
                         # ("data :").  Net ids hold no ':', so a transition may be ':' ("data: : t").
                         if len(clause) >= 2 and clause[0].endswith(":") and len(clause[0]) > 1:

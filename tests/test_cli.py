@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nestnets
-from nestnets import cli, coverability, cover_object_system, explore_object_system, parse_marking, parse_object_system
+from nestnets import (InvalidNetError, ParseError, cli, coverability, cover_object_system, explore_object_system,
+                      parse_marking, parse_nunet, parse_object_system, print_nunet, print_object_system)
 from nestnets.cli import main
 from nestnets.coverability import DEFAULT_MAX_STATES
 from nestnets.objectsystem import covers as os_covers
@@ -613,3 +614,19 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path, source, mutatio
         code = main(argv)
         capsys.readouterr()
         assert 0 <= code <= 4, argv
+
+
+PRINTERS = {".nupn": (parse_nunet, print_nunet), ".eos": (parse_object_system, print_object_system)}
+
+
+@settings(max_examples=400, deadline=None, report_multiple_bugs=False)
+@given(source=st.sampled_from(sorted(FUZZ_FILES)), mutations=st.lists(mutation, min_size=1, max_size=4))
+def test_fuzz_print_then_parse_is_idempotent(source, mutations):
+    parse, print_ = PRINTERS[pathlib.Path(source).suffix]
+    try:
+        parsed = parse(mutate(pathlib.Path(source).read_text(encoding="utf-8"), mutations))
+    except (ParseError, InvalidNetError):
+        return
+    printed = print_(*parsed)
+    assert parse(printed) == parsed  # net, init and target
+    assert print_(*parse(printed)) == printed

@@ -586,6 +586,28 @@ def test_covers_exact_never_touches_the_memo():
     assert memo == {}
 
 
+def dominators_by_pairs(new, goals):
+    """Per tuple of new, the ascending indices of the goals it dominates, pair by pair."""
+    return {t: [g for g, goal in enumerate(goals) if len(goal) == len(t) and all(a <= b for a, b in zip(goal, t))]
+            for t in new}
+
+
+def test_dominators_match_pairwise_oracle():
+    rng = random.Random(2424)
+
+    def tuples(count):
+        return [tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3))) for _ in range(count)]
+
+    cases = [(tuples(rng.randint(1, 30)), tuples(rng.randint(1, 12))) for _ in range(200)]  # arities 0-3 mixed
+    cases += [([], tuples(5)), (tuples(20), [])]
+    # more than 1024 tuples of one arity cross a chunk boundary
+    wide = [tuple(rng.randint(0, 40) for _ in range(3)) for _ in range(2500)]
+    cases.append((wide + tuples(40), tuples(60) + wide[:30]))
+    for new, goals in cases:
+        assert nunet._dominators(new, goals) == dominators_by_pairs(new, goals), (new, goals)
+    assert sum(map(len, nunet._dominators(*cases[-1]).values())) > 2500  # the wide case holds real edges
+
+
 def dominators_calls(monkeypatch):
     """Route nunet._dominators through a recorder: returns the list of the
     (distinct tuples, wanted tuples) of each call."""

@@ -272,6 +272,8 @@ def test_reduced_net_round_trips():
 def test_eos_parse_errors_carry_positions():
     cases = [
         ("eos\nobjectnet a\n places x\nend\n", "line 1: missing 'system' section"),
+        ("eos\nsystem first\n places a:black\nend\nsystem second\n places b:black\nend\n",
+         "line 5: duplicate 'system' section"),
         ("eos\nsystem s\n places p:black\nend\ninit p { zz:1 }\n",
          "line 5: token on 'p' (type black) has inner token on foreign place 'zz'"),
         ("eos\nsystem s\n places p\nend\n", "line 3: system place 'p' needs a type: name:Type"),
@@ -331,6 +333,11 @@ def test_eos_parse_errors_carry_positions():
         ("event e = t with d: zz", "net d: unknown transition 'zz'"),
         ("event e = idle::p", "event 'e' rides an idle transition but fires no object transition"),
         ("event e = t with d u", "expected '<net>: <transition>...' in event clause"),
+        # every clause between 'with', ';' and the end of the line holds one net and its transitions
+        ("event e = t with", "expected '<net>: <transition>...' in event clause"),
+        ("event e = t with ; ; d: u ;", "expected '<net>: <transition>...' in event clause"),
+        ("event e = t with d: u ;", "expected '<net>: <transition>...' in event clause"),
+        ("event e = t with d: u ; ; d: u", "expected '<net>: <transition>...' in event clause"),
     ]]
     for text, message in cases:
         with pytest.raises(ParseError) as err:
