@@ -17,10 +17,9 @@ so repeated runs produce byte-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from types import SimpleNamespace
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .multisets import Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
@@ -47,8 +46,7 @@ class SearchLimitReached(Exception):
         self.value = value
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(NamedTuple):
     """States and edges discovered within the depth budget.
 
     states are listed layer by layer, each layer in the order its states
@@ -64,8 +62,7 @@ class ExploreResult:
     depth_reached: int
 
 
-@dataclass
-class CoverAnswer:
+class CoverAnswer(NamedTuple):
     """Outcome of a bounded coverability query.
 
     covered = True comes with the covering state and a shortest witness,
@@ -348,8 +345,7 @@ def _gadget_ends(
     return frozenset(ends), runs
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """One-step equivalence check between a net and its compilation.
 
     s1: successors of the configuration in the source net.
@@ -386,8 +382,7 @@ def check_simulation(
     )
 
 
-@dataclass
-class TransferReport:
+class TransferReport(NamedTuple):
     """Coverability agreement between a net and its compilation."""
 
     source: CoverAnswer

@@ -16,9 +16,8 @@ one new tuple, and untouched tuples stay as they are.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
@@ -196,8 +195,7 @@ def config(net: NuNet, vectors: Iterable[Sequence[int]]) -> Multiset:
     return Multiset(out)
 
 
-@dataclass(frozen=True)
-class NuMode:
+class NuMode(NamedTuple):
     """Chosen tuple occurrence per standard variable.
 
     Indices refer to the canonical enumeration of the configuration's

@@ -23,14 +23,12 @@ be split and merged freely across equally typed outputs.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
-from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet, _claim_ids, _IdError
+from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet, _claim_ids, _IdError, _unique_ids
 
 IDLE_PREFIX = "idle::"
 
@@ -58,8 +56,7 @@ class NestedToken(NamedTuple):
         return f"{self.place} {inner_text(self.inner)}"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A system transition plus the object transitions fired alongside it.
 
     theta maps object net ids to multisets of that net's transitions; nets
@@ -82,8 +79,7 @@ class Event:
         return EMPTY
 
 
-@dataclass(frozen=True)
-class EventMode:
+class EventMode(NamedTuple):
     """A concrete way to fire an event: consumed and produced tokens."""
 
     event: Event
@@ -162,7 +158,8 @@ class ObjectSystem:
         events: Iterable[Event] = (),
     ):
         object_nets = tuple(object_nets)
-        _claim_ids(system.name, [("object net", [net.name for net in object_nets])])
+        # every net given checked its own ids, so the claims below check uniqueness only
+        _unique_ids(system.name, [("object net", [net.name for net in object_nets])])
         nets = {net.name: net for net in object_nets}
         for n in nets:
             if ":" in n:  # files type a system place as <place>:<object net>
@@ -177,18 +174,17 @@ class ObjectSystem:
             if t.startswith(IDLE_PREFIX):
                 raise _IdError(f"transition id {t!r} uses the reserved idle namespace", "system transition", t)
         self.declared_transitions = system.transitions
-        # the given net checked its ids and arcs, and the claim below checks the idle ids
+        # idle::p is a valid id because p is one and the prefix holds no reserved character
         idles = {idle_id(p): Multiset([p]) for p in system.places}
-        self.system = copy.copy(system)
-        self.system.transitions += tuple(idles)
-        self.system.pre = system.pre | idles
-        self.system.post = system.post | idles
+        self.system = object.__new__(PetriNet)  # a shallow copy of the checked net, extended
+        vars(self.system).update(vars(system), transitions=system.transitions + tuple(idles),
+                                 pre=system.pre | idles, post=system.post | idles)
 
         # ids must be globally unique across the system net and all object nets
         groups = [("system place", self.system.places), ("system transition", self.system.transitions)]
         for net in nets.values():
             groups += [(f"place of object net {net.name}", net.places), (f"transition of object net {net.name}", net.transitions)]
-        _claim_ids(system.name, groups)
+        _unique_ids(system.name, groups)
 
         self.typing = dict(typing)
         if set(self.typing) != set(system.places):

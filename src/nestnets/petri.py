@@ -9,6 +9,7 @@ its only marking is the empty multiset.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Iterable, Mapping
 
 from .multisets import EMPTY, Multiset
@@ -31,22 +32,29 @@ class _IdError(ValueError):
         self.id = id
 
 
-def _check_id(kind: str, name: str) -> None:
+def _check_id(kind: str, name: str) -> str:
     if not isinstance(name, str) or not name:
         raise _IdError(f"{kind} id must be a non-empty string, got {name!r}", kind, name)
     if _RESERVED.search(name):
         raise _IdError(f"{kind} id {name!r} contains whitespace or reserved characters", kind, name)
+    return name
 
 
 def _claim_ids(net: str, groups: Iterable[tuple[str, Iterable[str]]]) -> None:
     """Check the net id and every id of each (kind, ids) group, and that no id is used twice in the net.
 
-    The one uniqueness check: each call is one namespace."""
+    Each id's syntax is checked just before _unique_ids claims it."""
     _check_id("net", net)
+    _unique_ids(net, ((kind, map(partial(_check_id, kind), ids)) for kind, ids in groups))
+
+
+def _unique_ids(net: str, groups: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Check that no id of the (kind, ids) groups is used twice in the net, for ids whose syntax was checked.
+
+    The one uniqueness check: each call is one namespace."""
     seen: dict[str, str] = {}
     for kind, ids in groups:
         for i in ids:
-            _check_id(kind, i)
             if i in seen:
                 if seen[i] == kind:
                     raise _IdError(f"net {net}: duplicate {kind} id {i!r}", kind, i)

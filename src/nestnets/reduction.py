@@ -21,7 +21,7 @@ runs of the same gadget differ only by that interleaving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .multisets import EMPTY, Multiset
 from .nunet import NuNet, config, validate
@@ -39,8 +39,7 @@ _RESERVED = {SIM, SELECT_TRAN, DATA_ID, BLACK_ID, IDLE_PREFIX.removesuffix("::")
 CONTROL = NestedToken(SELECT_TRAN, EMPTY)
 
 
-@dataclass(frozen=True)
-class NameEntry:
+class NameEntry(NamedTuple):
     """Provenance of one generated id."""
 
     role: str
@@ -48,8 +47,7 @@ class NameEntry:
     source_variable: str | None = None
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A compiled net: the object system plus the id provenance table."""
 
     system: ObjectSystem

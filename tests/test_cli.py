@@ -518,6 +518,18 @@ def test_console_entry_point():
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
+def test_cli_import_stays_light():
+    """Importing the CLI loads none of dataclasses, inspect or copy. Under -S, with
+    site-packages off the path, it also shows that the CLI needs nothing outside the stdlib."""
+    package_root = str(pathlib.Path(nestnets.__file__).resolve().parent.parent)
+    script = "import sys, nestnets.cli; print(sorted({'dataclasses', 'inspect', 'copy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # -- one parser per process ------------------------------------------------------
 
 def test_parser_built_on_first_call_then_shared():
