@@ -7,12 +7,14 @@ step(state, action).  Replaying a witness folds step over it.  The public
 *_nunet and *_object_system functions only pick the adapter.
 
 All searches are breadth first with deduplication and two explicit
-resource bounds: a depth budget and a state cap.  Exceeding the state cap
-raises SearchLimitReached; running out of depth is an ordinary NotCovered
-answer carrying the depth actually explored.  States are found in a fixed
-enumeration order (a layer in the order its states were first reached,
-actions in declaration order, modes in canonical order) and never sorted,
-so repeated runs produce byte-identical results.
+resource bounds: a depth budget and a state cap.  A cover query tests each
+state when it is first found and stops at the first that covers, so a
+covering state among the first max_states found is an answer.  Recording
+one more state raises SearchLimitReached; running out of depth is an
+ordinary NotCovered answer carrying the depth actually explored.  States
+are found in a fixed enumeration order (a layer in the order its states
+were first reached, actions in declaration order, modes in canonical
+order) and never sorted, so repeated runs produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -86,23 +88,19 @@ def _search(
     target: Multiset | None = None,
     edges: list | None = None,
 ):
-    """Shared BFS core: explores up to `depth` layers, optionally stopping
-    at the shallowest state covering `target` first found in the fixed
-    enumeration order (see the module docstring), and appending every edge
-    to `edges` when given.  Returns whether the space closed, the depth
-    reached, the covering state (or None), and parents, which maps each
-    state found, layer by layer in the order found, to (parent, action)
-    and the initial state to None."""
+    """Shared BFS core: explores up to `depth` layers and appends every edge
+    to `edges` when given.  With a target, it tests each state right after
+    recording it (the initial one first), after the cap check, and stops at
+    the first that covers: the shallowest first found in the fixed order.
+    Returns whether the space closed, the depth reached, the covering state
+    (or None), and parents, which maps each state found, layer by layer in
+    the order found, to (parent, action) and the initial state to None."""
     parents: dict[Multiset, tuple[Multiset, Any] | None] = {initial: None}
+    if target is not None and kind.covers(initial, target):
+        return False, 0, initial, parents
     frontier = [initial]
     d = 0
-    while True:
-        if target is not None:
-            for s in frontier:
-                if kind.covers(s, target):
-                    return False, d, s, parents
-        if d >= depth:
-            return False, d, None, parents
+    while d < depth:
         layer: list[Multiset] = []
         for s in frontier:
             for action, nxt in kind.successors(s):
@@ -112,11 +110,14 @@ def _search(
                     if len(parents) >= max_states:
                         raise SearchLimitReached("max_states", max_states)
                     parents[nxt] = (s, action)
+                    if target is not None and kind.covers(nxt, target):
+                        return False, d + 1, nxt, parents
                     layer.append(nxt)
         if not layer:
             return True, d, None, parents
         d += 1
         frontier = layer
+    return False, d, None, parents
 
 
 def _explore(kind: SimpleNamespace, initial: Multiset, depth: int, max_states: int) -> ExploreResult:
@@ -142,13 +143,13 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 
 # -- net kinds and their public searches ---------------------------------------
 #
-# A net kind is what the search core sees of a net: validate(state) raises if
-# a state does not fit the net; successors(state) lists (action, next state)
-# pairs in a fixed enumeration order (declaration order, modes canonical);
-# covers(state, target) says whether a state dominates a target; step(state,
-# action) fires one action, raising if it is not enabled.  The factories below
-# look up nu_* and os_* in this module's globals at each call, so wrappers put
-# there (benches/layertrace.py) see every call.
+# A net kind is what the search core sees of a net: validate(state) raises if a
+# state does not fit the net; successors(state) iterates (action, next state)
+# pairs in a fixed enumeration order (declaration order, modes canonical),
+# lazily for name nets; covers(state, target) says whether a state dominates a
+# target; step(state, action) fires one action, raising if it is not enabled.
+# The factories below look up nu_* and os_* in this module's globals at each
+# call, so wrappers put there (benches/layertrace.py) see every call.
 #
 # An object-system adapter memoises mode lists for its own life (one search):
 # an event's modes depend only on the tokens on its input places, with their
@@ -175,11 +176,11 @@ def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
     memo: dict = {}  # nu_covers' domination memo, for this adapter's life (one search)
     return SimpleNamespace(
         validate=lambda configuration: nu_config(net, configuration.support()),  # the vectors fit the net
-        successors=lambda configuration: [
+        successors=lambda configuration: (  # lazy: a search fires nothing past its answer or its cap
             ((t, mode), nu_fire(net, configuration, t, mode))
             for t in net.transitions
             for mode in nu_enabled_modes(net, configuration, t)
-        ],
+        ),
         covers=lambda configuration, target: nu_covers(configuration, target, exact=exact, memo=memo),
         step=lambda configuration, action: nu_fire(net, configuration, *action),
     )

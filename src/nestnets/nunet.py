@@ -16,7 +16,7 @@ one new tuple, and untouched tuples stay as they are.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
@@ -214,19 +214,29 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
 
     The k-th variable, in declaration order, to pick a tuple takes its k-th
     occurrence if there is one: the effect's first assignment in permutation order.
-    """
-    occ = configuration.elements()
-    first: dict[tuple, int] = {}
-    for i, tup in enumerate(occ):
-        first.setdefault(tup, i)
+    The product runs over the variables in name order, each over its fitting tuples
+    in canonical order, so the modes come out sorted without a sort.  One pass over
+    the canonical items gives each tuple its first occurrence and its count."""
+    items = configuration.items()
+    starts = itertools.accumulate((count for _, count in items), initial=0)
+    spans = {tup: (at, count) for (tup, count), at in zip(items, starts)}  # tuple -> (first occurrence, count)
     _, xs, _, vectors = net._table(t)
-    choices = [[tup for tup in first if all(d <= m for d, m in zip(vectors[x][0], tup))] for x in xs]
+    names = sorted(xs)
+    # per variable in name order, the positions in names of the variables declared before it
+    before = [[j for j, y in enumerate(names) if xs.index(y) < xs.index(x)] for x in names]
+    choices = [[tup for tup in spans if all(map(le, vectors[x][0], tup))] for x in names]
     modes = []
     for picks in itertools.product(*choices):
-        idxs = [first[tup] + picks[:k].count(tup) for k, tup in enumerate(picks)]
-        if all(i < len(occ) and occ[i] == tup for i, tup in zip(idxs, picks)):
-            modes.append(NuMode.make(zip(xs, idxs)))
-    return sorted(modes, key=lambda mode: [(v, occ[i]) for v, i in mode.assignment])
+        idxs = []
+        for tup, earlier in zip(picks, before):
+            first, count = spans[tup]
+            k = [picks[j] for j in earlier].count(tup)
+            if k == count:
+                break
+            idxs.append(first + k)
+        else:
+            modes.append(NuMode(tuple(zip(names, idxs))))
+    return modes
 
 
 def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:

@@ -172,6 +172,12 @@ def test_cover_limit(capsys):
     assert "max_states" in err
 
 
+def test_cover_within_the_cap_exits_zero(capsys):
+    # The covering state is the second one found, within --max-states 2.
+    assert run(capsys, "cover", D0, "--init", "[1 0] [2 0] [3 0]", "--target", "[0 1]", "--depth", "1",
+               "--max-states", "2") == (0, "covered at depth 1\n  1. t1 x=[1 0]\nstate: [0 1] [1 0] [2 0] [3 0]\n", "")
+
+
 def test_cover_target_from_file(capsys, tmp_path):
     f = tmp_path / "target.cfg"
     f.write_text("[0 1]\n")

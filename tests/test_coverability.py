@@ -11,6 +11,7 @@ from nestnets import (
     Multiset,
     NestedToken,
     NotEnabledError,
+    NuMode,
     NuNet,
     ObjectSystem,
     PetriNet,
@@ -20,6 +21,7 @@ from nestnets import (
     check_transfer,
     cover_nunet,
     cover_object_system,
+    coverability,
     encode_config,
     explore_nunet,
     explore_object_system,
@@ -150,6 +152,41 @@ def test_cover_limit():
     with pytest.raises(SearchLimitReached) as err:
         cover_nunet(net, config(net, [(1, 0)]), config(net, [(9, 9)]), 50, max_states=10)
     assert "max_states" in str(err.value)
+
+
+def test_cover_within_the_cap_is_an_answer():
+    # The first successor of the initial state covers, and it is the second
+    # state found: an answer within max_states = 2, although the layer it
+    # belongs to holds three new states.
+    net = d0()
+    ans = cover_nunet(net, config(net, [(1, 0), (2, 0), (3, 0)]), config(net, [(0, 1)]), 1, max_states=2)
+    assert ans.covered and ans.depth == 1
+    assert ans.witness == [("t1", NuMode.make([("x", 0)]))]
+    assert ans.state == config(net, [(0, 1), (1, 0), (2, 0), (3, 0)])
+
+
+def _many_names_net():
+    """One transition whose four standard variables each move a name's token from p to q."""
+    xs = ("w", "x", "y", "z")
+    return NuNet("many", ("p", "q"), ("t",), xs,
+                 inflow={"t": {"p": Multiset(xs)}}, outflow={"t": {"q": Multiset(xs)}})
+
+
+def test_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
+    # 12 distinct names give 12 * 11 * 10 * 9 = 11 880 modes.  In sorted order
+    # the first nine give new states, the tenth repeats the first, and the
+    # eleventh is the state past the cap.
+    net = _many_names_net()
+    initial = config(net, [(k, 0) for k in range(1, 13)])
+    fires = []
+    real_fire = coverability.nu_fire
+    monkeypatch.setattr("nestnets.coverability.nu_fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
+    with pytest.raises(SearchLimitReached):
+        explore_nunet(net, initial, depth=1, max_states=10)
+    assert len(fires) == 11
+    fires.clear()
+    ans = cover_nunet(net, initial, config(net, [(0, 1)]), depth=1)  # the first successor covers
+    assert ans.covered and ans.depth == 1 and len(fires) == 1
 
 
 def test_cover_object_system_and_replay():

@@ -261,6 +261,26 @@ def test_modes_match_permutation_reference():
     assert repeated > 200  # the rest are empty configurations
 
 
+def test_modes_are_built_sorted_by_effect():
+    # enabled_modes sorts nothing: it builds its modes in effect order.  Nets
+    # with 2-4 standard variables declared in a random order, on configurations
+    # that repeat tuples.
+    rng = random.Random(2710)
+    several = 0
+    for _ in range(2500):
+        xs = rng.sample("abmxyz", rng.randint(2, 4))
+        arcs = {p: Multiset(rng.choices(xs, k=rng.randint(0, 2))) for p in ("p", "q")}
+        arcs["p"] += Multiset(xs)  # every variable is used
+        net = NuNet("n", ("p", "q"), ("t",), standard_vars=xs, inflow={"t": arcs})
+        base = [(rng.randint(0, 3), rng.randint(0, 2)) for _ in range(rng.randint(2, 4))]
+        cfg = config(net, base + rng.choices(base, k=rng.randint(1, 3)))
+        modes, occ = enabled_modes(net, cfg, "t"), cfg.elements()
+        assert modes == modes_by_permutations(net, cfg, "t"), (xs, arcs, cfg)
+        assert modes == sorted(modes, key=lambda mode: [(v, occ[i]) for v, i in mode.assignment])
+        several += len(modes) > 1
+    assert several >= 1000, several
+
+
 def test_modes_match_oracle():
     rng = random.Random(404)
     for _ in range(200):
