@@ -148,6 +148,134 @@ def test_reduce_to_stdout(capsys):
     assert "init selectTran { } sim { p:1 }" in out
 
 
+# Two gadgets, tf (the fresh variable only) and tb (two standard variables and
+# the fresh one): the name table lists each gadget's places, then its
+# transitions, and the object transitions last.
+GAP_EOS = (
+    "eos\n"
+    "objectnet data\n"
+    "  places p q\n"
+    "  trans tf::obj::nu\n"
+    "    out p\n"
+    "  end\n"
+    "  trans tb::obj::x\n"
+    "    in p\n"
+    "    out p\n"
+    "  end\n"
+    "  trans tb::obj::y\n"
+    "    in p\n"
+    "    out p\n"
+    "  end\n"
+    "  trans tb::obj::nu\n"
+    "    out q\n"
+    "  end\n"
+    "end\n"
+    "system compiled\n"
+    "  places sim:data selectTran:black tf::run::nu:black tf::report:black tb::select::y:black tb::select::nu:black tb::selected::x:data tb::selected::y:data tb::run::x:black tb::run::y:black tb::run::nu:black tb::report:black\n"
+    "  trans tf::pick::nu\n"
+    "    in selectTran\n"
+    "    out tf::run::nu\n"
+    "  end\n"
+    "  trans tf::fire::nu\n"
+    "    in tf::run::nu\n"
+    "    out sim\n"
+    "    out tf::report\n"
+    "  end\n"
+    "  trans tf::done\n"
+    "    in tf::report\n"
+    "    out selectTran\n"
+    "  end\n"
+    "  trans tb::pick::x\n"
+    "    in selectTran\n"
+    "    in sim\n"
+    "    out tb::select::y\n"
+    "    out tb::selected::x\n"
+    "  end\n"
+    "  trans tb::pick::y\n"
+    "    in sim\n"
+    "    in tb::select::y\n"
+    "    out tb::select::nu\n"
+    "    out tb::selected::y\n"
+    "  end\n"
+    "  trans tb::pick::nu\n"
+    "    in tb::select::nu\n"
+    "    out tb::run::nu\n"
+    "    out tb::run::x\n"
+    "    out tb::run::y\n"
+    "  end\n"
+    "  trans tb::fire::x\n"
+    "    in tb::run::x\n"
+    "    in tb::selected::x\n"
+    "    out sim\n"
+    "    out tb::report\n"
+    "  end\n"
+    "  trans tb::fire::y\n"
+    "    in tb::run::y\n"
+    "    in tb::selected::y\n"
+    "    out sim\n"
+    "    out tb::report\n"
+    "  end\n"
+    "  trans tb::fire::nu\n"
+    "    in tb::run::nu\n"
+    "    out sim\n"
+    "    out tb::report\n"
+    "  end\n"
+    "  trans tb::done\n"
+    "    in tb::report : 3\n"
+    "    out selectTran\n"
+    "  end\n"
+    "end\n"
+    "events\n"
+    "  event tf::pick::nu = tf::pick::nu\n"
+    "  event tf::fire::nu = tf::fire::nu with data: tf::obj::nu\n"
+    "  event tf::done = tf::done\n"
+    "  event tb::pick::x = tb::pick::x\n"
+    "  event tb::pick::y = tb::pick::y\n"
+    "  event tb::pick::nu = tb::pick::nu\n"
+    "  event tb::fire::x = tb::fire::x with data: tb::obj::x\n"
+    "  event tb::fire::y = tb::fire::y with data: tb::obj::y\n"
+    "  event tb::fire::nu = tb::fire::nu with data: tb::obj::nu\n"
+    "  event tb::done = tb::done\n"
+    "end\n"
+    "init selectTran { }\n"
+    "target selectTran { } sim { p:1 } sim { p:1 }\n"
+)
+GAP_TSV = (
+    "sim\tsim\t\t\n"
+    "selectTran\tselectTran\t\t\n"
+    "tf::run::nu\trun-place\ttf\tnu\n"
+    "tf::report\treport-place\ttf\t\n"
+    "tf::pick::nu\tpick\ttf\tnu\n"
+    "tf::fire::nu\tfire\ttf\tnu\n"
+    "tf::done\tdone\ttf\t\n"
+    "tb::select::y\tselect-place\ttb\ty\n"
+    "tb::select::nu\tselect-place\ttb\tnu\n"
+    "tb::selected::x\tselected-place\ttb\tx\n"
+    "tb::selected::y\tselected-place\ttb\ty\n"
+    "tb::run::x\trun-place\ttb\tx\n"
+    "tb::run::y\trun-place\ttb\ty\n"
+    "tb::run::nu\trun-place\ttb\tnu\n"
+    "tb::report\treport-place\ttb\t\n"
+    "tb::pick::x\tpick\ttb\tx\n"
+    "tb::pick::y\tpick\ttb\ty\n"
+    "tb::pick::nu\tpick\ttb\tnu\n"
+    "tb::fire::x\tfire\ttb\tx\n"
+    "tb::fire::y\tfire\ttb\ty\n"
+    "tb::fire::nu\tfire\ttb\tnu\n"
+    "tb::done\tdone\ttb\t\n"
+    "tf::obj::nu\tobject-transition\ttf\tnu\n"
+    "tb::obj::x\tobject-transition\ttb\tx\n"
+    "tb::obj::y\tobject-transition\ttb\ty\n"
+    "tb::obj::nu\tobject-transition\ttb\tnu\n"
+)
+
+
+def test_reduce_gap_byte_for_byte(capsys, tmp_path):
+    table = tmp_path / "gap.tsv"
+    assert run(capsys, "reduce", GAP, "--name-table", str(table)) == (0, GAP_EOS, "")
+    assert table.read_text() == GAP_TSV
+
+
 # -- cover --------------------------------------------------------------------
 
 def test_cover_hit(capsys):
