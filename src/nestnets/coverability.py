@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import reduce
 from types import SimpleNamespace
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .multisets import Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
@@ -145,9 +145,10 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 #
 # A net kind is what the search core sees of a net: validate(state) raises if a
 # state does not fit the net; successors(state) iterates (action, next state)
-# pairs in a fixed enumeration order (declaration order, modes canonical),
-# lazily for name nets; covers(state, target) says whether a state dominates a
-# target; step(state, action) fires one action, raising if it is not enabled.
+# pairs lazily, in a fixed enumeration order (declaration order, modes
+# canonical), so a search fires nothing past its answer or its cap;
+# covers(state, target) says whether a state dominates a target;
+# step(state, action) fires one action, raising if it is not enabled.
 # The factories below look up nu_* and os_* in this module's globals at each
 # call, so wrappers put there (benches/layertrace.py) see every call.
 #
@@ -176,7 +177,7 @@ def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
     memo: dict = {}  # nu_covers' domination memo, for this adapter's life (one search)
     return SimpleNamespace(
         validate=lambda configuration: nu_config(net, configuration.support()),  # the vectors fit the net
-        successors=lambda configuration: (  # lazy: a search fires nothing past its answer or its cap
+        successors=lambda configuration: (
             ((t, mode), nu_fire(net, configuration, t, mode))
             for t in net.transitions
             for mode in nu_enabled_modes(net, configuration, t)
@@ -204,10 +205,9 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
     memo: dict[tuple, list[EventMode]] = {}
     lam_memo: dict = {}
 
-    def successors(marking: Multiset) -> list[tuple[EventMode, Multiset]]:
+    def successors(marking: Multiset) -> Iterator[tuple[EventMode, Multiset]]:
         by_place = _by_place(marking)
         occupied = frozenset(by_place)
-        out = []
         for i, e, places, needed in inputs:
             if not needed <= occupied:
                 continue
@@ -215,8 +215,8 @@ def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
             modes = memo.get(key)
             if modes is None:
                 modes = memo[key] = system.enabled_modes(marking, e, lam_memo=lam_memo, by_place=by_place)
-            out.extend((mode, os_fire(marking, mode)) for mode in modes)
-        return out
+            for mode in modes:
+                yield mode, os_fire(marking, mode)
 
     return SimpleNamespace(
         validate=system.validate_marking,

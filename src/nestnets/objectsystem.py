@@ -107,7 +107,9 @@ def _by_place(marking: Multiset) -> dict[str, list[tuple[NestedToken, int]]]:
 
 
 def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[dict[Hashable, int]]:
-    """All ways to take exactly `need` items from (item, available) pairs."""
+    """All ways to take exactly `need` items from (item, available) pairs: each
+    selection's pairs in avail's order, the selections in lexicographic order
+    of their (item position, count) pairs, so canonical when avail is."""
     stack: list[tuple[int, int, tuple]] = [(0, need, ())]  # (item index, still needed, taken so far)
     while stack:
         i, left, taken = stack.pop()
@@ -115,8 +117,8 @@ def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[di
             yield dict(taken)
         elif i < len(avail):
             tok, have = avail[i]
-            # ascending, so the most copies of this item come off the stack first
-            for k in range(min(have, left) + 1):
+            # none first and one copy last, so 1, 2, ... copies come off the stack before none
+            for k in (0, *range(min(have, left), 0, -1)):
                 stack.append((i + 1, left - k, taken + ((tok, k),) if k else taken))
 
 
@@ -289,10 +291,10 @@ class ObjectSystem:
         possible way.  Symmetric choices collapse to one mode.
 
         Lams come out in canonical order without their sort keys: input
-        places are in canonical order, and so are each place's tokens and,
-        for a demand of two or more, its selections.  All selections on one
-        place have the same size, so no place's block of a lam is a proper
-        prefix of another's.
+        places are in canonical order, and so are each place's tokens and
+        therefore, as _selections yields them, its selections.  All
+        selections on one place have the same size, so no place's block of a
+        lam is a proper prefix of another's.
 
         A search may pass lam_memo, a dict it keeps for its own life: the
         modes of one choice of consumed tokens depend only on the event and
@@ -313,8 +315,6 @@ class ObjectSystem:
             sels = list(_selections(avail, need))
             if not sels:
                 return []
-            if need > 1 and len(sels) > 1:  # a selection's pairs are in avail's order
-                sels.sort(key=lambda sel: [(t.inner.sort_key(), k) for t, k in sel.items()])
             per_place.append(sels)
 
         modes: list[EventMode] = []

@@ -6,17 +6,21 @@ places as the source net and one transition ``t::obj::x`` per source
 transition t and variable x (the restriction of t's arcs to x).
 
 A single control token cycles through ``selectTran``: each source
-transition t becomes a gadget that (a) picks one object out of ``sim`` per
-standard variable of t, in declaration order, (b) releases one run token
-per variable, (c) fires ``t::obj::x`` on each picked object and mints the
-fresh object, each such step sending its object back to ``sim`` and one
-token to ``t::report``, and (d) collects all report tokens back into the
-control token.  Between (a) and (d) the control place stays empty, so
-complete gadget runs are exactly the one-step firings of the source net.
+transition t becomes a gadget that (a) takes one pick step per variable of
+t, the standard ones in declaration order and then the fresh one, each
+standard pick moving one object out of ``sim``, (b) releases one run token
+per variable with its last pick, (c) fires ``t::obj::x`` on each picked
+object and mints the fresh object, each such step sending its object back
+to ``sim`` and one token to ``t::report``, and (d) collects all report
+tokens back into the control token.  Between (a) and (d) the control place
+stays empty, so complete gadget runs are exactly the one-step firings of
+the source net.
 
-Transitions without variables degenerate to a single no-op transition that
-recycles the control token.  Picked-object updates in step (c) commute, so
-runs of the same gadget differ only by that interleaving.
+A complete gadget run thus takes 2·|vars(t)| + 1 steps: a pick and a fire
+per variable, then done.  Transitions without variables degenerate to that
+single no-op done, which recycles the control token.  Picked-object updates
+in step (c) commute, so runs of the same gadget differ only by that
+interleaving.
 """
 
 from __future__ import annotations
@@ -55,22 +59,25 @@ class Reduction(NamedTuple):
     name_table: dict[str, NameEntry]
 
 
+def _generated_id(t: str, kind: str, v: str | None = None) -> str:
+    """The one id rule of the compiler: t::kind, or t::kind::v for a variable v of t."""
+    return f"{t}::{kind}::{v}" if v else f"{t}::{kind}"
+
+
 def obj_id(t: str, v: str) -> str:
-    return f"{t}::obj::{v}"
+    return _generated_id(t, "obj", v)
 
 
 def object_net(net: NuNet) -> PetriNet:
     """The per-name object net: one transition per (transition, variable)."""
-    transitions: list[str] = []
-    pre: dict[str, Multiset] = {}
+    pre: dict[str, Multiset] = {}  # also the order of the transitions
     post: dict[str, Multiset] = {}
     for t in net.transitions:
         for v in net.vars_of(t):
             tid = obj_id(t, v)
-            transitions.append(tid)
             pre[tid] = _vector_marking(net, net.in_vector(t, v))
             post[tid] = _vector_marking(net, net.out_vector(t, v))
-    return PetriNet(DATA_ID, net.places, transitions, pre, post)
+    return PetriNet(DATA_ID, net.places, pre, pre, post)
 
 
 def _vector_marking(net: NuNet, vector: tuple[int, ...]) -> Multiset:
@@ -78,9 +85,8 @@ def _vector_marking(net: NuNet, vector: tuple[int, ...]) -> Multiset:
 
 
 def run_length(net: NuNet, t: str) -> int:
-    """Steps in a complete gadget run for t (closed form)."""
-    n = len(net.standard_vars_of(t))
-    return 2 * n + 3 if net.fresh_vars_of(t) else 2 * n + 1
+    """Steps in a complete gadget run for t: a pick and a fire per variable, then done."""
+    return 2 * len(net.vars_of(t)) + 1
 
 
 def max_run_length(net: NuNet) -> int:
@@ -96,98 +102,51 @@ def reduce_nunet(net: NuNet) -> Reduction:
         if "::" in i or i in _RESERVED:
             raise ValueError(f"net {net.name}: id {i!r} collides with the generated namespace")
 
-    data = object_net(net)
-    table: dict[str, NameEntry] = {
-        SIM: NameEntry("sim"),
-        SELECT_TRAN: NameEntry("selectTran"),
-    }
-    places: list[str] = [SIM, SELECT_TRAN]
+    # The dicts are the only record of order: typing holds the system places and
+    # pre the transitions in the order they are made, table every id in that order.
+    table: dict[str, NameEntry] = {SIM: NameEntry("sim"), SELECT_TRAN: NameEntry("selectTran")}
     typing: dict[str, str] = {SIM: DATA_ID, SELECT_TRAN: BLACK_ID}
-    transitions: list[str] = []
     pre: dict[str, Multiset] = {}
     post: dict[str, Multiset] = {}
     events: list[Event] = []
 
-    def add_place(pid: str, net_id: str, entry: NameEntry) -> None:
-        places.append(pid)
+    def place(t: str, kind: str, v: str | None = None, net_id: str = BLACK_ID) -> str:
+        pid = _generated_id(t, kind, v)
         typing[pid] = net_id
-        table[pid] = entry
+        table[pid] = NameEntry(f"{kind}-place", t, v)
+        return pid
 
-    def add_transition(tid: str, p: Multiset, q: Multiset, entry: NameEntry, theta_var: str | None) -> None:
-        transitions.append(tid)
-        pre[tid], post[tid] = p, q
-        table[tid] = entry
-        theta = {DATA_ID: Multiset([obj_id(entry.source_transition, theta_var)])} if theta_var else {}
-        events.append(Event.make(tid, tid, theta))
+    def transition(t: str, kind: str, v: str | None, taken: list[str], given: list[str]) -> None:
+        tid = _generated_id(t, kind, v)
+        pre[tid], post[tid] = Multiset(taken), Multiset(given)
+        table[tid] = NameEntry(kind, t, v)
+        # a fire step moves its object along the variable's object transition
+        events.append(Event.make(tid, tid, {DATA_ID: Multiset([obj_id(t, v)])} if kind == "fire" else None))
 
     for t in net.transitions:
-        xs = net.standard_vars_of(t)
-        fresh = net.fresh_vars_of(t)
-        chain = xs + fresh
-
-        if not chain:
-            add_transition(
-                f"{t}::done", Multiset([SELECT_TRAN]), Multiset([SELECT_TRAN]),
-                NameEntry("done", t), None,
-            )
-            continue
-
-        run = {v: f"{t}::run::{v}" for v in chain}
-        selected = {x: f"{t}::selected::{x}" for x in xs}
-        report = f"{t}::report"
-        entry_place = {chain[0]: SELECT_TRAN}
-        for v in chain[1:]:
-            entry_place[v] = f"{t}::select::{v}"
-
-        for v in chain[1:]:
-            add_place(entry_place[v], BLACK_ID, NameEntry("select-place", t, v))
-        for x in xs:
-            add_place(selected[x], DATA_ID, NameEntry("selected-place", t, x))
-        for v in chain:
-            add_place(run[v], BLACK_ID, NameEntry("run-place", t, v))
-        add_place(report, BLACK_ID, NameEntry("report-place", t))
-
-        all_runs = Multiset(run[v] for v in chain)
-        for i, v in enumerate(chain):
-            tid = f"{t}::pick::{v}"
-            if v in fresh:
-                add_transition(
-                    tid, Multiset([entry_place[v]]), all_runs,
-                    NameEntry("pick", t, v), None,
-                )
+        chain = net.vars_of(t)  # the standard variables in declaration order, then the fresh one
+        # A gadget's places come before its transitions, and each kind in chain order.
+        entries = [SELECT_TRAN] + [place(t, "select", v) for v in chain[1:]]
+        selected = {x: place(t, "selected", x, DATA_ID) for x in net.standard_vars_of(t)}
+        runs = [place(t, "run", v) for v in chain]
+        # without variables, done recycles the control token
+        report = place(t, "report") if chain else SELECT_TRAN
+        # each pick hands on to the next entry place, except the last, which releases the runs
+        for v, entry, handoff in zip(chain, entries, [[e] for e in entries[1:]] + [runs]):
+            if v in selected:  # a standard variable also moves an object from sim to selected
+                transition(t, "pick", v, [entry, SIM], [selected[v]] + handoff)
             else:
-                taken = Multiset([entry_place[v], SIM])
-                moved = Multiset([selected[v]])
-                if i + 1 < len(chain):
-                    produced = moved + Multiset([entry_place[chain[i + 1]]])
-                else:
-                    produced = moved + all_runs  # no fresh variable: the last pick releases the runs
-                add_transition(tid, taken, produced, NameEntry("pick", t, v), None)
-
-        for v in chain:
-            add_transition(
-                f"{t}::fire::{v}",
-                # a standard variable also moves its selected token back to sim
-                Multiset([run[v]] if v in fresh else [selected[v], run[v]]),
-                Multiset([SIM, report]),
-                NameEntry("fire", t, v),
-                v,
-            )
-
-        add_transition(
-            f"{t}::done",
-            Multiset([report]) * len(chain),
-            Multiset([SELECT_TRAN]),
-            NameEntry("done", t),
-            None,
-        )
+                transition(t, "pick", v, [entry], handoff)
+        for v, run in zip(chain, runs):
+            # a standard variable also moves its selected token back to sim
+            transition(t, "fire", v, [selected[v], run] if v in selected else [run], [SIM, report])
+        transition(t, "done", None, [report] * max(len(chain), 1), [SELECT_TRAN])
 
     for t in net.transitions:
         for v in net.vars_of(t):
             table[obj_id(t, v)] = NameEntry("object-transition", t, v)
 
-    system_net = PetriNet("compiled", places, transitions, pre, post)
-    system = ObjectSystem(system_net, [data], typing, events)
+    system = ObjectSystem(PetriNet("compiled", typing, pre, pre, post), [object_net(net)], typing, events)
     return Reduction(system, net, table)
 
 

@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 from nestnets import (
+    Event,
     Multiset,
     NestedToken,
     NotEnabledError,
@@ -187,6 +188,27 @@ def test_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
     fires.clear()
     ans = cover_nunet(net, initial, config(net, [(0, 1)]), depth=1)  # the first successor covers
     assert ans.covered and ans.depth == 1 and len(fires) == 1
+
+
+def test_object_system_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
+    # Any of three distinct tokens on s1 can move to s2, firing a -> b inside
+    # it: three modes, in canonical order the one moving s1 { a } first.
+    inner = PetriNet("inner", places=("a", "b"), transitions=("u",),
+                     pre={"u": Multiset(["a"])}, post={"u": Multiset(["b"])})
+    outer = PetriNet("outer", places=("s1", "s2"), transitions=("e",),
+                     pre={"e": Multiset(["s1"])}, post={"e": Multiset(["s2"])})
+    system = ObjectSystem(outer, [inner], {"s1": "inner", "s2": "inner"},
+                          [Event.make("ev", "e", {"inner": Multiset(["u"])})])
+    initial = Multiset(NestedToken("s1", Multiset(["a"] * k)) for k in (1, 2, 3))
+    fires = []
+    real_fire = coverability.os_fire
+    monkeypatch.setattr("nestnets.coverability.os_fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
+    ans = cover_object_system(system, initial, Multiset([NestedToken("s2", Multiset(["b"]))]), depth=1)
+    assert ans.covered and ans.depth == 1 and len(fires) == 1  # the first successor covers
+    fires.clear()
+    with pytest.raises(SearchLimitReached):  # the second successor is the state past the cap
+        explore_object_system(system, initial, depth=1, max_states=2)
+    assert len(fires) == 2
 
 
 def test_cover_object_system_and_replay():

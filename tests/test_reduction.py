@@ -138,6 +138,19 @@ def test_closed_form_counts():
         assert len(red.system.events) == expect_trans
 
 
+def test_run_length_counts_each_gadget():
+    # The nets of test_closed_form_counts: each transition's run length is
+    # the number of steps its gadget compiles to.
+    rng = random.Random(31)
+    for _ in range(120):
+        net = random_nupn(rng)
+        red = reduce_nunet(net)
+        steps = [red.name_table[tid] for tid in non_idle(red.system)]
+        for t in net.transitions:
+            own = [e for e in steps if e.source_transition == t and e.role in ("pick", "fire", "done")]
+            assert run_length(net, t) == len(own)
+
+
 def test_run_length_closed_forms():
     rng = random.Random(32)
     for _ in range(60):
