@@ -107,9 +107,7 @@ def _by_place(marking: Multiset) -> dict[str, list[tuple[NestedToken, int]]]:
 
 
 def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[dict[Hashable, int]]:
-    """All ways to take exactly `need` items from (item, available) pairs: each
-    selection's pairs in avail's order, the selections in lexicographic order
-    of their (item position, count) pairs, so canonical when avail is."""
+    """All ways to take exactly `need` items from (item, available) pairs, canonically ordered if avail is."""
     stack: list[tuple[int, int, tuple]] = [(0, need, ())]  # (item index, still needed, taken so far)
     while stack:
         i, left, taken = stack.pop()
@@ -117,7 +115,8 @@ def _selections(avail: Sequence[tuple[Hashable, int]], need: int) -> Iterator[di
             yield dict(taken)
         elif i < len(avail):
             tok, have = avail[i]
-            # none first and one copy last, so 1, 2, ... copies come off the stack before none
+            # none first and one copy last: 1, 2, ... copies come off the stack before none, which is
+            # canonical order, since a selection's pairs are in avail's order
             for k in (0, *range(min(have, left), 0, -1)):
                 stack.append((i + 1, left - k, taken + ((tok, k),) if k else taken))
 

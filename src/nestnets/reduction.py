@@ -6,21 +6,19 @@ places as the source net and one transition ``t::obj::x`` per source
 transition t and variable x (the restriction of t's arcs to x).
 
 A single control token cycles through ``selectTran``: each source
-transition t becomes a gadget that (a) takes one pick step per variable of
-t, the standard ones in declaration order and then the fresh one, each
-standard pick moving one object out of ``sim``, (b) releases one run token
-per variable with its last pick, (c) fires ``t::obj::x`` on each picked
-object and mints the fresh object, each such step sending its object back
-to ``sim`` and one token to ``t::report``, and (d) collects all report
-tokens back into the control token.  Between (a) and (d) the control place
-stays empty, so complete gadget runs are exactly the one-step firings of
-the source net.
+transition t becomes a gadget that (a) picks one object out of ``sim`` per
+standard variable of t, in declaration order, (b) releases one run token
+per variable, (c) fires ``t::obj::x`` on each picked object and mints the
+fresh object, each such step sending its object back to ``sim`` and one
+token to ``t::report``, and (d) collects all report tokens back into the
+control token.  Between (a) and (d) the control place stays empty, so
+complete gadget runs are exactly the one-step firings of the source net.
 
-A complete gadget run thus takes 2·|vars(t)| + 1 steps: a pick and a fire
-per variable, then done.  Transitions without variables degenerate to that
-single no-op done, which recycles the control token.  Picked-object updates
-in step (c) commute, so runs of the same gadget differ only by that
-interleaving.
+A run takes 2·|vars(t)| + 1 steps: a pick and a fire per variable (the
+fresh variable's pick takes no object and releases the run tokens), then
+done.  A transition without variables compiles to done alone, which
+recycles the control token.  Picked-object updates in step (c) commute, so
+runs of the same gadget differ only by that interleaving.
 """
 
 from __future__ import annotations
@@ -104,7 +102,10 @@ def reduce_nunet(net: NuNet) -> Reduction:
 
     # The dicts are the only record of order: typing holds the system places and
     # pre the transitions in the order they are made, table every id in that order.
-    table: dict[str, NameEntry] = {SIM: NameEntry("sim"), SELECT_TRAN: NameEntry("selectTran")}
+    table: dict[str, NameEntry] = {
+        SIM: NameEntry("sim"),
+        SELECT_TRAN: NameEntry("selectTran"),
+    }
     typing: dict[str, str] = {SIM: DATA_ID, SELECT_TRAN: BLACK_ID}
     pre: dict[str, Multiset] = {}
     post: dict[str, Multiset] = {}
@@ -146,7 +147,8 @@ def reduce_nunet(net: NuNet) -> Reduction:
         for v in net.vars_of(t):
             table[obj_id(t, v)] = NameEntry("object-transition", t, v)
 
-    system = ObjectSystem(PetriNet("compiled", typing, pre, pre, post), [object_net(net)], typing, events)
+    system_net = PetriNet("compiled", typing, pre, pre, post)
+    system = ObjectSystem(system_net, [object_net(net)], typing, events)
     return Reduction(system, net, table)
 
 
