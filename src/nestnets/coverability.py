@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from functools import reduce
 from types import SimpleNamespace
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .multisets import Multiset
-from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, enabled_modes as nu_enabled_modes, fire as nu_fire
-from .objectsystem import EventMode, ObjectSystem, _by_place, covers as os_covers, fire as os_fire
-from .petri import NotEnabledError
+from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, fire as nu_fire, successors as nu_successors
+from .objectsystem import EventMode, ObjectSystem, covers as os_covers
 from .reduction import (
     CONTROL,
     Reduction,
@@ -149,39 +148,19 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
 # canonical), so a search fires nothing past its answer or its cap;
 # covers(state, target) says whether a state dominates a target;
 # step(state, action) fires one action, raising if it is not enabled.
-# The factories below look up nu_* and os_* in this module's globals at each
-# call, so wrappers put there (benches/layertrace.py) see every call.
-#
-# An object-system adapter memoises mode lists for its own life (one search):
-# an event's modes depend only on the tokens on its input places, with their
-# inner markings and counts, so they are keyed on the event's index and those
-# tokens, grouped as enabled_modes groups them, in the marking's insertion
-# order (equal tokens met in another order miss, which stays exact), and a hit
-# fires the same modes that enabled_modes would return.  On a miss,
-# enabled_modes reads the adapter's grouping instead of grouping again, and
-# looks up each choice of consumed tokens in a second memo of the adapter's,
-# keyed by (event, consumed multiset) and holding that choice's mode list,
-# because different input tokens often share those choices.  Neither memo is
-# kept on the ObjectSystem, so a long-lived system does not grow between
-# queries.
-#
-# A name-net adapter keeps nu_covers' domination memo for its own life in the
-# same way: per target, which target tuples each configuration tuple met so far
-# dominates.  A check indexes only the tuples new to the search, files the result
-# and reads every tuple's edges from the memo, so each distinct tuple is indexed
-# once per target.
+# Each entry calls a public function or method of the net's module, looked up
+# when the kind is made or at each call, so wrappers put there before a search
+# (benches/layertrace.py) see every call.  The factories only create the memos
+# that live as long as the kind, one search: nu_covers' domination memo, and
+# ObjectSystem.successors' two memos.
 
 
 def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
     """Configurations, (transition, NuMode) actions, embedding order (inclusion when exact)."""
-    memo: dict = {}  # nu_covers' domination memo, for this adapter's life (one search)
+    memo: dict = {}  # nu_covers' domination memo
     return SimpleNamespace(
         validate=lambda configuration: nu_config(net, configuration.support()),  # the vectors fit the net
-        successors=lambda configuration: (
-            ((t, mode), nu_fire(net, configuration, t, mode))
-            for t in net.transitions
-            for mode in nu_enabled_modes(net, configuration, t)
-        ),
+        successors=lambda configuration: nu_successors(net, configuration),
         covers=lambda configuration, target: nu_covers(configuration, target, exact=exact, memo=memo),
         step=lambda configuration, action: nu_fire(net, configuration, *action),
     )
@@ -189,40 +168,13 @@ def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
 
 def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
     """Markings, event-mode actions, token-wise domination."""
-
-    def step(marking: Multiset, mode: EventMode) -> Multiset:
-        # os_fire checks only that the consumed tokens are present.
-        if not system.enabled(marking, mode):
-            raise NotEnabledError(f"witness step {mode.event.name!r} is not enabled")
-        return os_fire(marking, mode)
-
-    # Modes per (event index, tokens on its input places); see above.  An
-    # event whose input places are not all occupied has no mode and is skipped.
-    inputs = []
-    for i, e in enumerate(system.events):
-        places = [p for p, _ in system._shape(e)[0]]
-        inputs.append((i, e, places, frozenset(places)))
-    memo: dict[tuple, list[EventMode]] = {}
-    lam_memo: dict = {}
-
-    def successors(marking: Multiset) -> Iterator[tuple[EventMode, Multiset]]:
-        by_place = _by_place(marking)
-        occupied = frozenset(by_place)
-        for i, e, places, needed in inputs:
-            if not needed <= occupied:
-                continue
-            key = (i, *(tuple(by_place[p]) for p in places))
-            modes = memo.get(key)
-            if modes is None:
-                modes = memo[key] = system.enabled_modes(marking, e, lam_memo=lam_memo, by_place=by_place)
-            for mode in modes:
-                yield mode, os_fire(marking, mode)
-
+    modes: dict = {}  # ObjectSystem.successors' mode memo and lam memo
+    lams: dict = {}
     return SimpleNamespace(
         validate=system.validate_marking,
-        successors=successors,
+        successors=lambda marking: system.successors(marking, modes, lams),
         covers=lambda marking, target: os_covers(marking, target),
-        step=step,
+        step=lambda marking, mode: system.step(marking, mode),
     )
 
 
@@ -285,16 +237,17 @@ def minimal_runs(
     is not an encoding are dead ends and are dropped.
     """
     net = reduction.net
-    successors = _object_system_kind(reduction.system).successors
     if decode_config(net, start) is None:
         raise ValueError("start marking is not an encoding of a configuration")
+    modes: dict = {}
+    lams: dict = {}
     runs: list[tuple[list[EventMode], Multiset]] = []
     budget = [max_expansions]
 
     def walk(marking: Multiset, prefix: list[EventMode]) -> None:
         if len(prefix) >= max_len:
             return
-        for mode, nxt in successors(marking):
+        for mode, nxt in reduction.system.successors(marking, modes, lams):
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchLimitReached("max_expansions", max_expansions)
@@ -324,9 +277,10 @@ def _gadget_ends(
     adds its prefix count.  max_expansions bounds those expansions.
     """
     net = reduction.net
-    successors = _object_system_kind(reduction.system).successors
     if decode_config(net, start) is None:
         raise ValueError("start marking is not an encoding of a configuration")
+    modes: dict = {}
+    lams: dict = {}
     ends: set[Multiset] = set()
     runs = expanded = 0
     layer = {start: 1}
@@ -336,7 +290,7 @@ def _gadget_ends(
             expanded += 1
             if expanded > max_expansions:
                 raise SearchLimitReached("max_expansions", max_expansions)
-            for _, nxt in successors(marking):
+            for _, nxt in reduction.system.successors(marking, modes, lams):
                 if CONTROL not in nxt:
                     following[nxt] = following.get(nxt, 0) + prefixes
                 elif nxt in ends or decode_config(net, nxt) is not None:
@@ -370,7 +324,7 @@ def check_simulation(
     compiled runs, which the net bounds by its longest gadget run."""
     red = reduction if reduction is not None else reduce_nunet(net)
     max_len = max_run_length(net)
-    s1 = {nxt for _, nxt in _name_net_kind(net).successors(configuration)}
+    s1 = {nxt for _, nxt in nu_successors(net, configuration)}
     ends, run_count = _gadget_ends(red, encode_config(net, configuration), max_len)
     s2 = {decode_config(net, end) for end in ends}
     return SimulationReport(

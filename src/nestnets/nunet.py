@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter, le
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
@@ -74,7 +74,8 @@ class NuNet:
         self.outflow = normalize("output", outflow)
 
         # Per transition, derived once from its arcs, as a net never changes: its variables in declaration
-        # order, its standard ones, its fresh ones, and variable -> (in vector, out vector).
+        # order, its standard ones, its fresh ones, variable -> (in vector, out vector), the standard ones
+        # in name order, and per variable in name order the positions there of those declared before it.
         self._tables: dict[str, tuple] = {}
         self._zeros = ((0,) * len(self.places),) * 2  # the vectors of a variable not on t
         for t in self.transitions:
@@ -82,7 +83,9 @@ class NuNet:
             used = dict.fromkeys(v for flow in arcs for ms in flow.values() for v in ms.support())
             xs, fresh = [tuple(v for v in group if v in used) for group in (self.standard_vars, self.fresh_vars)]
             vectors = {v: tuple(tuple(flow.get(p, EMPTY).count(v) for p in self.places) for flow in arcs) for v in used}
-            self._tables[t] = (xs + fresh, xs, fresh, vectors)
+            names = sorted(xs)
+            before = [[j for j, y in enumerate(names) if xs.index(y) < xs.index(x)] for x in names]
+            self._tables[t] = (xs + fresh, xs, fresh, vectors, names, before)
 
     # -- per-transition views ------------------------------------------------
 
@@ -215,15 +218,14 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
     The k-th variable, in declaration order, to pick a tuple takes its k-th
     occurrence if there is one: the effect's first assignment in permutation order.
     The product runs over the variables in name order, each over its fitting tuples
-    in canonical order, so the modes come out sorted without a sort.  One pass over
-    the canonical items gives each tuple its first occurrence and its count."""
+    in canonical order, so the modes come out sorted without a sort.  The net built
+    that name order, and which variables precede each in declaration order, with
+    the transition; one pass over the canonical items gives each tuple its first
+    occurrence and its count."""
     items = configuration.items()
     starts = itertools.accumulate((count for _, count in items), initial=0)
     spans = {tup: (at, count) for (tup, count), at in zip(items, starts)}  # tuple -> (first occurrence, count)
-    _, xs, _, vectors = net._table(t)
-    names = sorted(xs)
-    # per variable in name order, the positions in names of the variables declared before it
-    before = [[j for j, y in enumerate(names) if xs.index(y) < xs.index(x)] for x in names]
+    _, _, _, vectors, names, before = net._table(t)
     choices = [[tup for tup in spans if all(map(le, vectors[x][0], tup))] for x in names]
     modes = []
     for picks in itertools.product(*choices):
@@ -242,8 +244,8 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
 def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
     """One step: update the picked tuples, mint the fresh ones."""
     occ = configuration.elements()
-    _, xs, fresh, vectors = net._table(t)
-    if sorted(v for v, _ in mode.assignment) != sorted(xs):
+    _, xs, fresh, vectors, names, _ = net._table(t)
+    if sorted(v for v, _ in mode.assignment) != names:
         raise NotEnabledError(f"mode variables {mode.assignment} do not match {t!r} (expects {xs})")
     idxs = [i for _, i in mode.assignment]
     if len(set(idxs)) != len(idxs) or any(i < 0 or i >= len(occ) for i in idxs):
@@ -255,6 +257,15 @@ def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
             raise NotEnabledError(f"occurrence {tup} cannot pay {t!r}'s demand for {x}")
         updated.append((tuple(m - d + o for m, d, o in zip(tup, din, dout)), 1))
     return configuration.replace([(occ[i], 1) for i in idxs], updated + [(vectors[v][1], 1) for v in fresh])
+
+
+def successors(net: NuNet, configuration: Multiset) -> Iterator[tuple[tuple[str, NuMode], Multiset]]:
+    """((transition, mode), next configuration) pairs, lazily: transitions in
+    declaration order, each one's modes in enabled_modes' order.  A search
+    expands a configuration with one call and fires nothing past its answer."""
+    for t in net.transitions:
+        for mode in enabled_modes(net, configuration, t):
+            yield (t, mode), fire(net, configuration, t, mode)
 
 
 def _dominators(new: list[tuple], goals: list[tuple]) -> dict[tuple, list[int]]:

@@ -198,8 +198,8 @@ class ObjectSystem:
 
         self.events = tuple(events)
         _claim_ids(system.name, [("event", [e.name for e in self.events])])
-        self._shapes: dict[Event, tuple] = {}
-        for e in self.events:
+        self._shapes: dict[Event, tuple] = {}  # event -> (index, event, input places, their set, shape)
+        for i, e in enumerate(self.events):
             try:  # pre_of and pre_sum raise on an unknown transition
                 inputs = tuple(self.system.pre_of(e.transition).items())
                 slots: dict[str, list[str]] = {}
@@ -214,12 +214,14 @@ class ObjectSystem:
                     raise ValueError(f"event {e.name!r} rides an idle transition but fires no object transition")
             except ValueError as exc:  # the event's declaration is at fault
                 raise _IdError(str(exc), "event", e.name) from None
-            self._shapes[e] = (inputs, {n: tuple(slots[n]) for n in sorted(slots)}, tuple(theta))
+            places = [p for p, _ in inputs]
+            shape = (inputs, {n: tuple(slots[n]) for n in sorted(slots)}, tuple(theta))
+            self._shapes[e] = (i, e, places, frozenset(places), shape)
 
     def _shape(self, event: Event) -> tuple:
         if event not in self._shapes:
             raise ValueError(f"net {self.system.name}: unknown event {event.name!r}")
-        return self._shapes[event]
+        return self._shapes[event][-1]
 
     # -- markings ----------------------------------------------------------
 
@@ -280,6 +282,13 @@ class ObjectSystem:
     def enabled(self, marking: Multiset, mode: EventMode) -> bool:
         return self.phi(mode.event, mode.lam, mode.rho) and mode.lam.leq(marking)  # phi checks the event
 
+    def step(self, marking: Multiset, mode: EventMode) -> Multiset:
+        """Fire a mode after checking that it is one of this system's modes
+        and enabled at the marking; fire itself checks only that lam is there."""
+        if not self.enabled(marking, mode):
+            raise NotEnabledError(f"witness step {mode.event.name!r} is not enabled")
+        return fire(marking, mode)
+
     def enabled_modes(
         self, marking: Multiset, event: Event, *, lam_memo: dict | None = None, by_place: dict | None = None
     ) -> list[EventMode]:
@@ -295,11 +304,13 @@ class ObjectSystem:
         selections on one place have the same size, so no place's block of a
         lam is a proper prefix of another's.
 
-        A search may pass lam_memo, a dict it keeps for its own life: the
-        modes of one choice of consumed tokens depend only on the event and
-        those tokens, so their mode list is stored there under (event, lam)
-        and reused.  It may also pass by_place, its own _by_place(marking),
-        which is read and not changed.
+        successors passes lam_memo, a dict its search keeps for its own life:
+        the modes of one choice of consumed tokens depend only on the event
+        and those tokens, so their mode list is stored there under (event,
+        lam) and reused, as different input tokens often share those choices.
+        It also passes by_place, its own _by_place(marking), which is read and
+        not changed.  A call without them groups the marking itself and
+        memoises nothing.
         """
         if lam_memo is None:
             lam_memo = {}  # never hits: distinct selections consume distinct multisets
@@ -345,6 +356,29 @@ class ObjectSystem:
         if len(modes) > 1:  # never so in compiled systems
             return sorted(modes.values(), key=lambda mode: mode.rho.sort_key())
         return list(modes.values())
+
+    def successors(self, marking: Multiset, modes: dict, lams: dict) -> Iterator[tuple[EventMode, Multiset]]:
+        """(mode, next marking) pairs, lazily: events in declaration order, each
+        one's modes in enabled_modes' order, so a search fires nothing past its answer.
+
+        modes and lams are memos a search keeps for its own life, never on the
+        system.  An event's modes depend only on the tokens on its input places,
+        so modes holds each mode list under the event's index and those tokens as
+        _by_place groups them, in the marking's insertion order (equal tokens met
+        in another order miss, which stays exact).  An event with an empty input
+        place has no mode.  enabled_modes reads this grouping and takes lams as
+        its lam_memo."""
+        by_place = _by_place(marking)
+        occupied = frozenset(by_place)
+        for i, event, places, needed, _ in self._shapes.values():
+            if not needed <= occupied:
+                continue
+            key = (i, *(tuple(by_place[p]) for p in places))
+            found = modes.get(key)
+            if found is None:
+                found = modes[key] = self.enabled_modes(marking, event, lam_memo=lams, by_place=by_place)
+            for mode in found:
+                yield mode, fire(marking, mode)
 
     # -- structure ---------------------------------------------------------
 

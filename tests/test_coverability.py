@@ -1,9 +1,12 @@
 """Bounded exploration, coverability queries, and the two compiler checks."""
 
+import ast
 import math
 import random
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,10 @@ from nestnets import (
     explore_nunet,
     explore_object_system,
     minimal_runs,
+    nunet,
+    objectsystem,
+    parse_nunet,
+    parse_object_system,
     replay_nunet,
     replay_object_system,
 )
@@ -34,6 +41,8 @@ from nestnets.coverability import _gadget_ends
 from nestnets.nunet import config, validate
 from nestnets.reduction import max_run_length, reduce_nunet
 from netgen import random_config, random_marking, random_nupn, random_object_system
+
+DATA = Path(__file__).parent / "data"
 
 
 def d0():
@@ -180,8 +189,8 @@ def test_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
     net = _many_names_net()
     initial = config(net, [(k, 0) for k in range(1, 13)])
     fires = []
-    real_fire = coverability.nu_fire
-    monkeypatch.setattr("nestnets.coverability.nu_fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
+    real_fire = nunet.fire
+    monkeypatch.setattr(nunet, "fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
     with pytest.raises(SearchLimitReached):
         explore_nunet(net, initial, depth=1, max_states=10)
     assert len(fires) == 11
@@ -201,14 +210,61 @@ def test_object_system_search_fires_nothing_after_its_answer_or_its_cap(monkeypa
                           [Event.make("ev", "e", {"inner": Multiset(["u"])})])
     initial = Multiset(NestedToken("s1", Multiset(["a"] * k)) for k in (1, 2, 3))
     fires = []
-    real_fire = coverability.os_fire
-    monkeypatch.setattr("nestnets.coverability.os_fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
+    real_fire = objectsystem.fire
+    monkeypatch.setattr(objectsystem, "fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
     ans = cover_object_system(system, initial, Multiset([NestedToken("s2", Multiset(["b"]))]), depth=1)
     assert ans.covered and ans.depth == 1 and len(fires) == 1  # the first successor covers
     fires.clear()
     with pytest.raises(SearchLimitReached):  # the second successor is the state past the cap
         explore_object_system(system, initial, depth=1, max_states=2)
     assert len(fires) == 2
+
+
+def test_search_core_reads_no_net_internals():
+    # coverability reaches both net kinds through their public names only.
+    tree = ast.parse(Path(coverability.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[-1] in ("nunet", "objectsystem")
+        for alias in node.names
+    ]
+    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    assert read and not [attr for attr in read if attr.startswith("_") and not attr.startswith("__")]
+
+
+def counted(monkeypatch, owner, name):
+    """Route owner.name, under every name a nestnets module holds it by, through
+    a counter; returns the list of each call's arguments."""
+    real, calls = getattr(owner, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "nestnets":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_each_expansion_is_one_successors_call(monkeypatch):
+    # A depth-2 exploration expands the states of its first two layers, which
+    # a depth-1 exploration lists, and calls the net's successors once for each.
+    net, init, _ = parse_nunet((DATA / "d0.nupn").read_text())
+    expanded = explore_nunet(net, init, depth=1).states
+    calls = counted(monkeypatch, nunet, "successors")
+    explore_nunet(net, init, depth=2)
+    assert [configuration for _, configuration in calls] == expanded
+    system, init, _ = parse_object_system((DATA / "courier.eos").read_text())
+    expanded = explore_object_system(system, init, depth=1).states
+    calls = counted(monkeypatch, ObjectSystem, "successors")
+    explore_object_system(system, init, depth=2)
+    assert len(expanded) > 2 and [marking for _, marking, _, _ in calls] == expanded
 
 
 def test_cover_object_system_and_replay():

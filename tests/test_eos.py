@@ -1,5 +1,6 @@
 """Object systems: enabledness predicate, mode enumeration, firing, order."""
 
+import copy
 import itertools
 import random
 import re
@@ -17,6 +18,7 @@ from nestnets import (
     NotEnabledError,
     ObjectSystem,
     PetriNet,
+    cover_object_system,
     covers,
     encode_config,
     explore_object_system,
@@ -28,7 +30,7 @@ from nestnets import (
     reduce_nunet,
     replay_object_system,
 )
-from nestnets import coverability, objectsystem
+from nestnets import objectsystem
 from nestnets.coverability import _object_system_kind
 from nestnets.objectsystem import _by_place, _distributions
 from netgen import random_marking, random_object_system
@@ -539,16 +541,31 @@ def test_enabled_modes_reads_a_given_grouping_without_changing_it():
 
 
 def test_adapter_groups_each_marking_once(monkeypatch):
+    # Each expansion, one ObjectSystem.successors call, groups its marking
+    # once, and enabled_modes reads that grouping instead of grouping again.
     grouped = {"adapter": 0, "enabled_modes": 0}
+    inside = []  # one entry per enabled_modes call in progress
+    expansions = []
+    real_modes, real_successors = ObjectSystem.enabled_modes, ObjectSystem.successors
 
-    def counting(who):
-        def by_place(marking):
-            grouped[who] += 1
-            return _by_place(marking)
-        return by_place
+    def by_place(marking):
+        grouped["enabled_modes" if inside else "adapter"] += 1
+        return _by_place(marking)
 
-    monkeypatch.setattr(coverability, "_by_place", counting("adapter"))
-    monkeypatch.setattr(objectsystem, "_by_place", counting("enabled_modes"))
+    def enabled_modes(self, *args, **kwargs):
+        inside.append(args)
+        try:
+            return real_modes(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def successors(self, *args):
+        expansions.append(args)
+        return real_successors(self, *args)
+
+    monkeypatch.setattr(objectsystem, "_by_place", by_place)
+    monkeypatch.setattr(ObjectSystem, "enabled_modes", enabled_modes)
+    monkeypatch.setattr(ObjectSystem, "successors", successors)
     rng = random.Random(2325)
     asked = 0
     for _ in range(40):
@@ -557,6 +574,26 @@ def test_adapter_groups_each_marking_once(monkeypatch):
         explore_object_system(sys_, random_marking(rng, sys_, max_tokens=3), depth=3, max_states=60)
         asked += len(enumerated)
     assert grouped["adapter"] > 50 and asked > 50 and grouped["enabled_modes"] == 0
+    assert grouped["adapter"] == len(expansions)
+
+
+def test_object_system_memos_die_with_the_search(monkeypatch):
+    # As the name-net domination memo: the mode memo and the lam memo live in
+    # the search, so a query leaves the system as it was, and a second one
+    # asks enabled_modes for every mode list again.
+    net, init, target = parse_nunet((DATA / "d0.nupn").read_text())
+    sys_ = reduce_nunet(net).system
+    start, goal = encode_config(net, init), encode_config(net, target)
+    before = copy.deepcopy(vars(sys_))
+    asked = []
+    real = ObjectSystem.enabled_modes
+    monkeypatch.setattr(ObjectSystem, "enabled_modes", lambda self, *a, **k: asked.append(a) or real(self, *a, **k))
+    first = cover_object_system(sys_, start, goal, depth=5)
+    once = len(asked)
+    assert first.covered and once and vars(sys_) == before
+    second = cover_object_system(sys_, start, goal, depth=5)
+    assert second == first and len(asked) == 2 * once
+    assert vars(sys_) == before
 
 
 def test_adapter_memo_tells_inner_markings_apart():
