@@ -126,7 +126,7 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -1,10 +1,13 @@
 """Bounded forward exploration, coverability queries, and the two
 correctness harnesses for the compiler.
 
-One BFS core, explore and cover serve both net kinds through a per-kind
-adapter: validate(state), successors(state), covers(state, target) and
-step(state, action).  Replaying a witness folds step over it.  The public
-*_nunet and *_object_system functions only pick the adapter.
+One BFS core serves both net kinds.  It takes the net's successor
+function, which iterates (action, next state) pairs lazily in a fixed
+enumeration order, and for a cover query a one-argument test that closes
+over the target.  Each public *_nunet and *_object_system search checks its
+states, then builds those two functions from public names of nunet and
+objectsystem when it starts, together with the memos that live as long as
+the search; each replay fires the witness with its module's checked step.
 
 All searches are breadth first with deduplication and two explicit
 resource bounds: a depth budget and a state cap.  A cover query tests each
@@ -19,9 +22,8 @@ order) and never sorted, so repeated runs produce byte-identical results.
 
 from __future__ import annotations
 
-from functools import reduce
-from types import SimpleNamespace
-from typing import Any, Iterable, NamedTuple
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .multisets import Multiset
 from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, fire as nu_fire, successors as nu_successors
@@ -80,36 +82,37 @@ class CoverAnswer(NamedTuple):
 
 
 def _search(
-    kind: SimpleNamespace,
+    successors: Callable[[Multiset], Iterator[tuple[Any, Multiset]]],
     initial: Multiset,
     depth: int,
     max_states: int,
-    target: Multiset | None = None,
+    covers: Callable[[Multiset], bool] | None = None,
     edges: list | None = None,
 ):
     """Shared BFS core: explores up to `depth` layers and appends every edge
-    to `edges` when given.  With a target, it tests each state right after
-    recording it (the initial one first), after the cap check, and stops at
-    the first that covers: the shallowest first found in the fixed order.
-    Returns whether the space closed, the depth reached, the covering state
-    (or None), and parents, which maps each state found, layer by layer in
-    the order found, to (parent, action) and the initial state to None."""
+    to `edges` when given.  With a cover test, it tests each state right
+    after recording it (the initial one first), after the cap check, and
+    stops at the first that covers: the shallowest first found in the fixed
+    order.  Returns whether the space closed, the depth reached, the
+    covering state (or None), and parents, which maps each state found,
+    layer by layer in the order found, to (parent, action) and the initial
+    state to None."""
     parents: dict[Multiset, tuple[Multiset, Any] | None] = {initial: None}
-    if target is not None and kind.covers(initial, target):
+    if covers is not None and covers(initial):
         return False, 0, initial, parents
     frontier = [initial]
     d = 0
     while d < depth:
         layer: list[Multiset] = []
         for s in frontier:
-            for action, nxt in kind.successors(s):
+            for action, nxt in successors(s):
                 if edges is not None:
                     edges.append((s, action, nxt))
                 if nxt not in parents:
                     if len(parents) >= max_states:
                         raise SearchLimitReached("max_states", max_states)
                     parents[nxt] = (s, action)
-                    if target is not None and kind.covers(nxt, target):
+                    if covers is not None and covers(nxt):
                         return False, d + 1, nxt, parents
                     layer.append(nxt)
         if not layer:
@@ -119,17 +122,14 @@ def _search(
     return False, d, None, parents
 
 
-def _explore(kind: SimpleNamespace, initial: Multiset, depth: int, max_states: int) -> ExploreResult:
-    kind.validate(initial)
+def _explore(successors: Callable, initial: Multiset, depth: int, max_states: int) -> ExploreResult:
     edges: list[tuple[Multiset, Any, Multiset]] = []
-    exhausted, d, _, parents = _search(kind, initial, depth, max_states, edges=edges)
+    exhausted, d, _, parents = _search(successors, initial, depth, max_states, edges=edges)
     return ExploreResult(list(parents), edges, exhausted, d)
 
 
-def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: int, max_states: int) -> CoverAnswer:
-    kind.validate(initial)
-    kind.validate(target)
-    exhausted, d, hit, parents = _search(kind, initial, depth, max_states, target)
+def _cover(successors: Callable, covers: Callable, initial: Multiset, depth: int, max_states: int) -> CoverAnswer:
+    exhausted, d, hit, parents = _search(successors, initial, depth, max_states, covers)
     if hit is None:
         return CoverAnswer(False, None, None, d, exhausted)
     witness = []
@@ -140,48 +140,14 @@ def _cover(kind: SimpleNamespace, initial: Multiset, target: Multiset, depth: in
     return CoverAnswer(True, witness[::-1], hit, d)
 
 
-# -- net kinds and their public searches ---------------------------------------
-#
-# A net kind is what the search core sees of a net: validate(state) raises if a
-# state does not fit the net; successors(state) iterates (action, next state)
-# pairs lazily, in a fixed enumeration order (declaration order, modes
-# canonical), so a search fires nothing past its answer or its cap;
-# covers(state, target) says whether a state dominates a target;
-# step(state, action) fires one action, raising if it is not enabled.
-# Each entry calls a public function or method of the net's module, looked up
-# when the kind is made or at each call, so wrappers put there before a search
-# (benches/layertrace.py) see every call.  The factories only create the memos
-# that live as long as the kind, one search: nu_covers' domination memo, and
-# ObjectSystem.successors' two memos.
-
-
-def _name_net_kind(net: NuNet, exact: bool = False) -> SimpleNamespace:
-    """Configurations, (transition, NuMode) actions, embedding order (inclusion when exact)."""
-    memo: dict = {}  # nu_covers' domination memo
-    return SimpleNamespace(
-        validate=lambda configuration: nu_config(net, configuration.support()),  # the vectors fit the net
-        successors=lambda configuration: nu_successors(net, configuration),
-        covers=lambda configuration, target: nu_covers(configuration, target, exact=exact, memo=memo),
-        step=lambda configuration, action: nu_fire(net, configuration, *action),
-    )
-
-
-def _object_system_kind(system: ObjectSystem) -> SimpleNamespace:
-    """Markings, event-mode actions, token-wise domination."""
-    modes: dict = {}  # ObjectSystem.successors' mode memo and lam memo
-    lams: dict = {}
-    return SimpleNamespace(
-        validate=system.validate_marking,
-        successors=lambda marking: system.successors(marking, modes, lams),
-        covers=lambda marking, target: os_covers(marking, target),
-        step=lambda marking, mode: system.step(marking, mode),
-    )
+# -- public searches -----------------------------------------------------------
 
 
 def explore_nunet(
     net: NuNet, initial: Multiset, depth: int, max_states: int = DEFAULT_MAX_STATES
 ) -> ExploreResult:
-    return _explore(_name_net_kind(net), initial, depth, max_states)
+    nu_config(net, initial.support())  # the vectors fit the net
+    return _explore(partial(nu_successors, net), initial, depth, max_states)
 
 
 def cover_nunet(
@@ -192,18 +158,29 @@ def cover_nunet(
     max_states: int = DEFAULT_MAX_STATES,
     exact: bool = False,
 ) -> CoverAnswer:
-    return _cover(_name_net_kind(net, exact), initial, target, depth, max_states)
+    """Covering is embedding, or inclusion when exact."""
+    nu_config(net, initial.support())
+    nu_config(net, target.support())
+    memo: dict = {}  # nu_covers' domination memo
+    covers = lambda configuration: nu_covers(configuration, target, exact=exact, memo=memo)
+    return _cover(partial(nu_successors, net), covers, initial, depth, max_states)
 
 
 def replay_nunet(net: NuNet, initial: Multiset, witness: Iterable[tuple[str, NuMode]]) -> Multiset:
     """Fire a witness step by step; raises if any step is not enabled."""
-    return reduce(_name_net_kind(net).step, witness, initial)
+    state = initial
+    for action in witness:
+        state = nu_fire(net, state, *action)
+    return state
 
 
 def explore_object_system(
     system: ObjectSystem, initial: Multiset, depth: int, max_states: int = DEFAULT_MAX_STATES
 ) -> ExploreResult:
-    return _explore(_object_system_kind(system), initial, depth, max_states)
+    system.validate_marking(initial)
+    modes: dict = {}  # ObjectSystem.successors' mode memo and lam memo
+    lams: dict = {}
+    return _explore(lambda marking: system.successors(marking, modes, lams), initial, depth, max_states)
 
 
 def cover_object_system(
@@ -213,11 +190,19 @@ def cover_object_system(
     depth: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> CoverAnswer:
-    return _cover(_object_system_kind(system), initial, target, depth, max_states)
+    system.validate_marking(initial)
+    system.validate_marking(target)
+    modes: dict = {}
+    lams: dict = {}
+    successors = lambda marking: system.successors(marking, modes, lams)
+    return _cover(successors, lambda marking: os_covers(marking, target), initial, depth, max_states)
 
 
 def replay_object_system(system: ObjectSystem, initial: Multiset, witness: Iterable[EventMode]) -> Multiset:
-    return reduce(_object_system_kind(system).step, witness, initial)
+    state = initial
+    for mode in witness:
+        state = system.step(state, mode)
+    return state
 
 
 # -- compiler harnesses --------------------------------------------------------

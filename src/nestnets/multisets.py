@@ -62,7 +62,7 @@ class Multiset:
     def from_counts(cls, counts: Mapping[Any, int]) -> "Multiset":
         kept: dict[Any, int] = {}
         for e, c in counts.items():
-            if not isinstance(c, int):
+            if isinstance(c, bool) or not isinstance(c, int):
                 raise ValueError(f"count for {e!r} must be an int, got {type(c).__name__}")
             if c < 0:
                 raise ValueError(f"negative count {c} for {e!r}")

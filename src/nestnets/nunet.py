@@ -190,7 +190,7 @@ def config(net: NuNet, vectors: Iterable[Sequence[int]]) -> Multiset:
         if len(tup) != arity:
             raise ValueError(f"vector {list(tup)} has arity {len(tup)}, net has {arity} places")
         for k in tup:
-            if not isinstance(k, int):
+            if isinstance(k, bool) or not isinstance(k, int):
                 raise ValueError(f"non-integer entry in {list(tup)}")
             if k < 0:
                 raise ValueError(f"negative entry in {list(tup)}")

@@ -84,7 +84,7 @@ def _tokenize(text: str) -> Generator[_Line, None, int]:
     """(line number, tokens) of each line that holds a token, read one line at a time; returns
     the number of the last of them (1 if there is none), the line that end of file is reported at."""
     last = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         body = raw.split("#", 1)[0]
         for ch in "[]{}":
             body = body.replace(ch, f" {ch} ")

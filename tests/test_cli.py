@@ -47,6 +47,13 @@ def test_validate_eos(capsys):
     assert out == "ok: eos desk (3 places, 2 events, 1 object nets)\n"
 
 
+def test_validate_reads_a_byte_order_mark(capsys, tmp_path):
+    f = tmp_path / "bom.nupn"
+    f.write_text(pathlib.Path(D0).read_text(), encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(capsys, "validate", str(f)) == (0, "ok: nupn d0 (2 places, 1 transitions)\n", "")
+
+
 def test_validate_does_not_count_an_explicit_black_net(capsys, tmp_path):
     f = tmp_path / "black.eos"
     f.write_text(pathlib.Path(COURIER).read_text().replace("objectnet doc", "objectnet black\nend\nobjectnet doc"))

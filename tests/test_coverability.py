@@ -267,6 +267,48 @@ def test_each_expansion_is_one_successors_call(monkeypatch):
     assert len(expanded) > 2 and [marking for _, marking, _, _ in calls] == expanded
 
 
+def test_searches_check_their_states_before_expanding(monkeypatch):
+    # An initial state or a target that does not fit the net is rejected
+    # before the search expands any state.
+    net, init, target = parse_nunet((DATA / "d0.nupn").read_text())
+    calls = counted(monkeypatch, nunet, "successors")
+    misfit = Multiset([(1,)])  # arity 1 in a two-place net
+    for search in (lambda: explore_nunet(net, misfit, 2),
+                   lambda: cover_nunet(net, misfit, target, 2),
+                   lambda: cover_nunet(net, init, misfit, 2)):
+        with pytest.raises(ValueError):
+            search()
+    assert calls == []
+    system, init, target = parse_object_system((DATA / "courier.eos").read_text())
+    calls = counted(monkeypatch, ObjectSystem, "successors")
+    misfit = Multiset([NestedToken("inbox", Multiset(["nowhere"]))])  # no such place in doc
+    for search in (lambda: explore_object_system(system, misfit, 2),
+                   lambda: cover_object_system(system, misfit, target, 2),
+                   lambda: cover_object_system(system, init, misfit, 2)):
+        with pytest.raises(ValueError):
+            search()
+    assert calls == []
+
+
+def test_replays_fire_each_step_once(monkeypatch):
+    # A replay fires its witness with the module's checked step and asks for
+    # no successors or modes.
+    net = d0()
+    init, goal = config(net, [(1, 0), (2, 0)]), config(net, [(0, 1), (0, 1)])
+    answer = cover_nunet(net, init, goal, 4)
+    fires, asked = counted(monkeypatch, nunet, "fire"), counted(monkeypatch, nunet, "successors")
+    modes = counted(monkeypatch, nunet, "enabled_modes")
+    assert replay_nunet(net, init, answer.witness) == answer.state
+    assert len(answer.witness) == 2 and len(fires) == 2 and asked == modes == []
+    red = reduce_nunet(net)
+    start, goal = encode_config(net, init), encode_config(net, goal)
+    answer = cover_object_system(red.system, start, goal, 10)
+    steps, asked = counted(monkeypatch, ObjectSystem, "step"), counted(monkeypatch, ObjectSystem, "successors")
+    modes = counted(monkeypatch, ObjectSystem, "enabled_modes")
+    assert replay_object_system(red.system, start, answer.witness) == answer.state
+    assert len(answer.witness) == 10 and len(steps) == 10 and asked == modes == []
+
+
 def test_cover_object_system_and_replay():
     net = d0()
     red = reduce_nunet(net)

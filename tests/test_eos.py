@@ -31,7 +31,6 @@ from nestnets import (
     replay_object_system,
 )
 from nestnets import objectsystem
-from nestnets.coverability import _object_system_kind
 from nestnets.objectsystem import _by_place, _distributions
 from netgen import random_marking, random_object_system
 from oracles import eos_mode_keys, eos_successors
@@ -465,6 +464,12 @@ def split_slots(sys_, event):
     return max(per_net.values(), default=0)
 
 
+def search_successors(sys_):
+    """ObjectSystem.successors with the two memos one search keeps."""
+    modes, lams = {}, {}
+    return lambda m: sys_.successors(m, modes, lams)
+
+
 def every_successor(sys_, m):
     return [(mode, fire(m, mode)) for e in sys_.events for mode in ObjectSystem.enabled_modes(sys_, m, e)]
 
@@ -480,7 +485,7 @@ def test_adapter_successors_match_every_event():
         sys_ = random_object_system(rng)
         returned = []
         asked = counting_modes(sys_, returned)
-        successors = _object_system_kind(sys_).successors
+        successors = search_successors(sys_)
         frontier = list(dict.fromkeys(random_marking(rng, sys_, max_tokens=rng.choice([0, 2, 3, 4])) for _ in range(2)))
         seen = set(frontier)
         for _ in range(3):
@@ -512,7 +517,7 @@ def test_adapter_memo_ignores_tokens_off_the_input_places():
     # but not ev's modes, which are enumerated once.
     sys_ = small_system()
     asked = counting_modes(sys_)
-    successors = _object_system_kind(sys_).successors
+    successors = search_successors(sys_)
     m1 = Multiset([tok("s1", "a")])
     m2 = m1 + Multiset([tok("s2", "b")])
     first, second = list(successors(m1)), list(successors(m2))
@@ -601,7 +606,7 @@ def test_adapter_memo_tells_inner_markings_apart():
     # modes, so each is enumerated.
     sys_ = small_system()
     asked = counting_modes(sys_)
-    successors = _object_system_kind(sys_).successors
+    successors = search_successors(sys_)
     one, two = Multiset([tok("s1", "a")]), Multiset([tok("s1", "a", "a")])
     for m in (one, two, one):
         assert list(successors(m)) == every_successor(sys_, m)
@@ -620,7 +625,7 @@ def test_adapter_memo_tells_events_apart():
     events = [Event.make("by_u", "e", {"inner": Multiset(["u"])}),
               Event.make("by_v", "e", {"inner": Multiset(["v"])})]
     sys_ = ObjectSystem(system, [inner], {"s1": "inner", "s2": "inner"}, events)
-    successors = _object_system_kind(sys_).successors
+    successors = search_successors(sys_)
     m = Multiset([tok("s1", "a")])
     got = list(successors(m))
     assert got == every_successor(sys_, m)

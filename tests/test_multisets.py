@@ -247,6 +247,8 @@ def test_from_counts_validation():
         Multiset.from_counts({"a": -1})
     with pytest.raises(ValueError):
         Multiset.from_counts({"a": 1.5})
+    with pytest.raises(ValueError):
+        Multiset.from_counts({"a": True})
 
 
 def test_negative_scaling_rejected():

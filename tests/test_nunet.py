@@ -153,6 +153,8 @@ def test_config_checks():
         config(net, [(1, -1)])
     with pytest.raises(ValueError, match=r"^non-integer entry in \[1\.5, 0\]$"):
         config(net, [(1.5, 0)])
+    with pytest.raises(ValueError, match=r"^non-integer entry in \[True, 0\]$"):
+        config(net, [(True, 0)])
 
 
 # -- modes ---------------------------------------------------------------------

@@ -160,6 +160,17 @@ def test_one_fit_rule_one_message(vector, message):
         parse_nunet(d0_text().replace("init [1 0]", "init " + text))
 
 
+@pytest.mark.parametrize("brk", ["\f", "\u2028"])
+def test_comments_end_only_at_a_line_break(brk):
+    # A form feed or a line separator inside a comment leaves the comment
+    # open, and lines are counted by their newlines.
+    text = d0_text().replace("# Running example", f"# Running{brk}example")
+    assert parse_nunet(text) == parse_nunet(d0_text())
+    with pytest.raises(ParseError, match=r"^line 3: unexpected keyword 'wat'$"):
+        parse_nunet(f"nupn n\n# a comment{brk}with a page break\nwat\n")
+    assert parse_nunet(text.replace("\n", "\r\n")) == parse_nunet(text.replace("\n", "\r"))
+
+
 @given(st.text(alphabet="019_+-\u0663xe.", max_size=6))
 def test_integers_read_as_int_reads_them(tok):
     try:
