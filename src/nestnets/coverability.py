@@ -14,7 +14,9 @@ resource bounds: a depth budget and a state cap.  A cover query tests each
 state when it is first found and stops at the first that covers, so a
 covering state among the first max_states found is an answer.  Recording
 one more state raises SearchLimitReached; running out of depth is an
-ordinary NotCovered answer carrying the depth actually explored.  States
+ordinary NotCovered answer carrying the depth actually explored.  An
+object-system cover query also drops, uncounted, each state that its
+system's step bound shows cannot cover within the depth it has left.  States
 are found in a fixed enumeration order (a layer in the order its states
 were first reached, actions in declaration order, modes in canonical
 order) and never sorted, so repeated runs produce byte-identical results.
@@ -88,6 +90,7 @@ def _search(
     max_states: int,
     covers: Callable[[Multiset], bool] | None = None,
     edges: list | None = None,
+    bound: Callable[[Multiset], float] | None = None,
 ):
     """Shared BFS core: explores up to `depth` layers and appends every edge
     to `edges` when given.  With a cover test, it tests each state right
@@ -96,10 +99,23 @@ def _search(
     order.  Returns whether the space closed, the depth reached, the
     covering state (or None), and parents, which maps each state found,
     layer by layer in the order found, to (parent, action) and the initial
-    state to None."""
+    state to None.
+
+    bound, when given, maps a state to a lower bound on the steps it needs
+    to reach a covering state, one that falls by at most 1 per step.  A state
+    first found at depth g is dropped when g plus its bound exceeds depth,
+    before the cap check, so it is neither recorded nor counted, and meeting
+    it again costs one lookup.  Only kept states with bound 0 are tested.
+    Every kept state's first parent is kept, so each layer is the unpruned
+    one without its dropped states, in the same order, and the answer is
+    the unpruned search's.  A search that drops a state has not closed the
+    space: it ends at the full depth when it runs out of states."""
     parents: dict[Multiset, tuple[Multiset, Any] | None] = {initial: None}
     if covers is not None and covers(initial):
         return False, 0, initial, parents
+    if bound is not None and bound(initial) > depth:
+        return False, depth, None, parents
+    dropped: set[Multiset] = set()
     frontier = [initial]
     d = 0
     while d < depth:
@@ -109,14 +125,22 @@ def _search(
                 if edges is not None:
                     edges.append((s, action, nxt))
                 if nxt not in parents:
+                    steps = 0
+                    if bound is not None:
+                        if nxt in dropped:
+                            continue
+                        steps = bound(nxt)
+                        if d + 1 + steps > depth:
+                            dropped.add(nxt)
+                            continue
                     if len(parents) >= max_states:
                         raise SearchLimitReached("max_states", max_states)
                     parents[nxt] = (s, action)
-                    if covers is not None and covers(nxt):
+                    if not steps and covers is not None and covers(nxt):
                         return False, d + 1, nxt, parents
                     layer.append(nxt)
         if not layer:
-            return True, d, None, parents
+            return (False, depth, None, parents) if dropped else (True, d, None, parents)
         d += 1
         frontier = layer
     return False, d, None, parents
@@ -128,8 +152,10 @@ def _explore(successors: Callable, initial: Multiset, depth: int, max_states: in
     return ExploreResult(list(parents), edges, exhausted, d)
 
 
-def _cover(successors: Callable, covers: Callable, initial: Multiset, depth: int, max_states: int) -> CoverAnswer:
-    exhausted, d, hit, parents = _search(successors, initial, depth, max_states, covers)
+def _cover(
+    successors: Callable, covers: Callable, initial: Multiset, depth: int, max_states: int, bound: Callable | None = None
+) -> CoverAnswer:
+    exhausted, d, hit, parents = _search(successors, initial, depth, max_states, covers, bound=bound)
     if hit is None:
         return CoverAnswer(False, None, None, d, exhausted)
     witness = []
@@ -195,7 +221,8 @@ def cover_object_system(
     modes: dict = {}
     lams: dict = {}
     successors = lambda marking: system.successors(marking, modes, lams)
-    return _cover(successors, lambda marking: os_covers(marking, target), initial, depth, max_states)
+    covers = lambda marking: os_covers(marking, target)
+    return _cover(successors, covers, initial, depth, max_states, system.step_bound(target))
 
 
 def replay_object_system(system: ObjectSystem, initial: Multiset, witness: Iterable[EventMode]) -> Multiset:

@@ -24,7 +24,8 @@ be split and merged freely across equally typed outputs.
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+import math
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
@@ -379,6 +380,62 @@ class ObjectSystem:
                 found = modes[key] = self.enabled_modes(marking, event, lam_memo=lams, by_place=by_place)
             for mode in found:
                 yield mode, fire(marking, mode)
+
+    def step_bound(self, target: Multiset) -> Callable[[Multiset], float]:
+        """A function from a marking to a lower bound on the steps it needs to
+        reach any marking that covers target: 0 or more, or math.inf.
+
+        A covering marking holds at least the target's tokens on each system
+        place and, per object net and inner place, at least the target's inner
+        tokens there summed over the tokens of that net's type.  One step raises
+        such a coordinate by at most its gain, so the bound is the largest
+        ceil(deficit / gain) over the coordinates in deficit, and infinite when
+        no event raises one of them.  It is 0 on every covering marking and
+        falls by at most 1 per step, so a bounded search may drop a state found
+        at depth g once g plus the bound exceeds its depth."""
+        need: dict[str | tuple[str, str], int] = {}
+        for tok, c in target.counts():
+            need[tok.place] = need.get(tok.place, 0) + c
+            net_id = self.typing[tok.place]
+            for q, k in tok.inner.counts():
+                need[net_id, q] = need.get((net_id, q), 0) + k * c
+        gains = dict.fromkeys(need, 0)  # the largest gain of one event on each coordinate, or 0
+        for _, e, _, _, (inputs, _, theta) in self._shapes.values():
+            step = dict(self.system.post_of(e.transition).counts())
+            for p, c in inputs:
+                step[p] = step.get(p, 0) - c
+            for net_id, used, made in theta:  # an inner place that theta only consumes from gains nothing
+                for q, k in made.counts():
+                    step[net_id, q] = step.get((net_id, q), 0) + k - used.count(q)
+            for coordinate in need:
+                gains[coordinate] = max(gains[coordinate], step.get(coordinate, 0))
+        # system place -> {inner place: coordinate} for the inner places of its net that the target demands
+        wanted_of = {p: {c[1]: c for c in need if isinstance(c, tuple) and c[0] == net_id}
+                     for p, net_id in self.typing.items()}
+
+        def bound(marking: Multiset) -> float:
+            left = need.copy()  # the deficit on each coordinate
+            for tok, c in marking.counts():
+                place = tok.place
+                if place in left:
+                    left[place] -= c
+                wanted = wanted_of[place]
+                if wanted:
+                    for q, k in tok.inner.counts():
+                        coordinate = wanted.get(q)
+                        if coordinate is not None:
+                            left[coordinate] -= c * k
+            steps = 0
+            for coordinate, gain in gains.items():
+                deficit = left[coordinate]
+                if deficit > 0:
+                    if not gain:
+                        return math.inf
+                    if deficit > steps * gain:  # ceil(deficit / gain) > steps
+                        steps = -(-deficit // gain)
+            return steps
+
+        return bound
 
     # -- structure ---------------------------------------------------------
 

@@ -4,17 +4,20 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nestnets
-from nestnets import (InvalidNetError, ParseError, cli, coverability, cover_object_system, explore_object_system,
-                      parse_marking, parse_nunet, parse_object_system, print_nunet, print_object_system)
+from nestnets import (InvalidNetError, ParseError, SearchLimitReached, cli, coverability, cover_object_system,
+                      explore_object_system, objectsystem, parse_marking, parse_nunet, parse_object_system, print_nunet,
+                      print_object_system)
 from nestnets.cli import main
 from nestnets.coverability import DEFAULT_MAX_STATES
 from nestnets.objectsystem import covers as os_covers
+from test_coverability import SPLIT_EOS
 from test_textio import COURIER_DOT
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -75,6 +78,12 @@ def test_validate_parse_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: line 3: unexpected keyword 'wat'\n"
+
+
+def test_validate_rejects_a_system_line_with_two_names(capsys, tmp_path):
+    f = tmp_path / "two.eos"
+    f.write_text("eos\nobjectnet doc\n places a\nend\nsystem a b\n places p:doc\nend\n")
+    assert run(capsys, "validate", str(f)) == (1, "", "error: line 5: expected 'system [name]'\n")
 
 
 @pytest.mark.parametrize("text, code, out, err", [
@@ -489,6 +498,52 @@ def test_cover_exact_rejected_for_eos(capsys):
                        "--depth", "1", "--exact")
     assert code == 1
     assert "--exact only applies to name nets" in err
+
+
+def test_cover_eos_counts_only_kept_states_against_the_cap(capsys, tmp_path):
+    # Without the step bound the search records its 41st state before the
+    # covering one.  With it, the states that cannot cover in the steps they
+    # have left are dropped uncounted, and the same witness is found.
+    f = tmp_path / "split.eos"
+    f.write_text(SPLIT_EOS)
+    system, initial, _ = parse_object_system(SPLIT_EOS)
+    target = parse_marking("i { b:1 c:1 } o1 { a:1 }", system)
+    modes: dict = {}
+    lams: dict = {}
+    unpruned = partial(coverability._cover, lambda m: system.successors(m, modes, lams),
+                       lambda m: os_covers(m, target), initial, 3)
+    with pytest.raises(SearchLimitReached):
+        unpruned(40)
+    witness = ("covered at depth 3\n"
+               "  1. split  take i { a:1 b:2 }  put o0 { a:1 } o1 { a:1 } o2 { b:1 }\n"
+               "  2. rewrite  take o0 { a:1 }  put o0 { c:1 }\n"
+               "  3. merge  take o0 { c:1 } o2 { b:1 }  put i { b:1 c:1 }\n"
+               "state: i { b:1 c:1 } o1 { a:1 }\n")
+    assert run(capsys, "cover", str(f), "--target", "i { b:1 c:1 } o1 { a:1 }", "--depth", "3",
+               "--max-states", "40") == (0, witness, "")
+    assert unpruned(100) == cover_object_system(system, initial, target, 3, 40)
+
+
+def test_cover_eos_out_of_reach_at_the_start_searches_nothing(capsys, monkeypatch):
+    # outbox { final:3 } needs three stamps, and one event stamps one draft.
+    expanded = []
+    real = objectsystem.ObjectSystem.successors
+    monkeypatch.setattr(objectsystem.ObjectSystem, "successors", lambda *a: expanded.append(a) or real(*a))
+    assert run(capsys, "cover", COURIER, "--target", "outbox { final:3 }", "--depth", "2") == (
+        2, "not covered within depth 2\n", "")
+    assert expanded == []
+
+
+def test_cover_eos_that_drops_a_state_claims_no_exhausted_space(capsys):
+    # Moving a token off inbox leaves one there, and no event puts one back,
+    # so that state is dropped.  The space closes at depth 2, but a search
+    # that dropped a state has not shown that the target is out of reach at
+    # every depth, so it reports the depth it was given.
+    system, initial, _ = parse_object_system(pathlib.Path(COURIER).read_text())
+    space = explore_object_system(system, initial, 50)
+    assert space.frontier_exhausted and space.depth_reached == 2
+    assert run(capsys, "cover", COURIER, "--target", "inbox { final:1 } inbox { final:1 }", "--depth", "50") == (
+        2, "not covered within depth 50\n", "")
 
 
 def test_cover_exhausted_note(capsys, tmp_path):

@@ -392,6 +392,126 @@ def test_searches_ignore_insertion_order(seed):
     assert reordered >= len(cases) // 2, reordered
 
 
+# -- step bounds: the unpruned search referees the pruned one ---------------------------
+
+SPLIT_EOS = """eos
+objectnet data
+  places a b c
+  trans u0
+    in c
+    out b
+  end
+  trans u1
+    in b
+    out a
+  end
+  trans u2
+    in a
+    out c
+  end
+end
+system sys
+  places i:data o0:data o1:data o2:data s:black
+  trans merge
+    in o0
+    in o2
+    out i
+  end
+  trans move
+    in o0
+    out o2
+    out s
+  end
+  trans split
+    in i
+    out o0
+    out o1
+    out o2
+  end
+end
+events
+  event split = split with data: u1
+  event merge = merge
+  event move = move with data: u1
+  event rewrite = idle::o0 with data: u2
+end
+init i { a:1 b:2 }
+"""
+
+
+def _step_bound_queries(rng):
+    """(system, initial, target, depth) cover queries on the compiled systems of
+    netgen nets, on netgen object systems and on two small .eos files: a random
+    target, and markings the search reaches, searched at the depth that reaches
+    them, where the bound is tightest."""
+    def reached(system, initial, depth):
+        states = explore_object_system(system, initial, depth, 400).states  # raises past the cap
+        return [rng.choice(states), states[-1]]
+
+    queries = []
+    systems = []
+    for _ in range(12):
+        net = random_nupn(rng)
+        systems.append((reduce_nunet(net).system, encode_config(net, random_config(rng, net)),
+                        encode_config(net, random_config(rng, net)), max_run_length(net) + 2))
+    for _ in range(12):
+        system = random_object_system(rng)
+        systems.append((system, random_marking(rng, system, max_tokens=4), random_marking(rng, system), 3))
+    for text in ((DATA / "courier.eos").read_text(), SPLIT_EOS):
+        system, initial, _ = parse_object_system(text)
+        systems.append((system, initial, random_marking(rng, system), 3))
+    for system, initial, target, depth in systems:
+        queries.append((system, initial, target, depth))
+        for d in range(1, depth + 1):
+            try:
+                goals = reached(system, initial, d)
+            except SearchLimitReached:
+                break
+            queries += [(system, initial, goal, d) for goal in goals]
+    return queries
+
+
+def _searches(system, initial, target, depth, bound):
+    """_search's and _cover's outcomes on one cover query, or "max_states"."""
+    modes: dict = {}
+    lams: dict = {}
+    successors = lambda marking: system.successors(marking, modes, lams)
+    covers = lambda marking: objectsystem.covers(marking, target)
+    h = system.step_bound(target) if bound else None
+    try:
+        return (coverability._search(successors, initial, depth, 3000, covers, bound=h),
+                coverability._cover(successors, covers, initial, depth, 3000, h))
+    except SearchLimitReached:
+        return "max_states"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_step_bound_keeps_every_answer(seed):
+    # Wherever the unpruned search finishes, the pruned one gives the same
+    # verdict, witness, state and depth, and its states are the unpruned
+    # ones minus those it dropped, in the same order with the same parents.
+    # A pruned search that closes after dropping a state reports the full
+    # depth and no exhausted space.
+    compared = pruned = covered = 0
+    for system, initial, target, depth in _step_bound_queries(random.Random(seed)):
+        plain = _searches(system, initial, target, depth, bound=False)
+        if plain == "max_states":
+            continue
+        (closed, _, hit, parents), answer = plain
+        (b_closed, _, b_hit, b_parents), b_answer = _searches(system, initial, target, depth, bound=True)
+        assert b_hit == hit
+        assert list(b_parents) == [s for s in parents if s in b_parents]
+        assert all(b_parents[s] == parents[s] for s in b_parents)
+        if b_answer != answer:  # only a closed space may read differently
+            assert closed and not b_closed and b_answer == answer._replace(depth=depth, exhausted=False)
+        if b_closed:  # nothing was dropped
+            assert b_parents == parents
+        compared += 1
+        pruned += len(b_parents) < len(parents)
+        covered += answer.covered
+    assert compared >= 60 and pruned >= 10 and covered >= 30, (compared, pruned, covered)
+
+
 # -- minimal runs of the compiled system ---------------------------------------
 
 def test_d0_minimal_runs_frozen():

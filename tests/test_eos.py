@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import random
 import re
 import sys
@@ -32,7 +33,7 @@ from nestnets import (
 )
 from nestnets import objectsystem
 from nestnets.objectsystem import _by_place, _distributions
-from netgen import random_marking, random_object_system
+from netgen import random_config, random_marking, random_nupn, random_object_system
 from oracles import eos_mode_keys, eos_successors
 
 
@@ -824,3 +825,36 @@ def test_firing_monotone_wrt_covers():
             for mode in sys_.enabled_modes(m, ev):
                 assert sys_.enabled(bigger, mode)
                 assert covers(fire(bigger, mode), fire(m, mode))
+
+
+# -- step bounds ----------------------------------------------------------------
+
+def test_step_bound_falls_by_at_most_one_per_step_and_is_zero_on_covers():
+    # On random markings of netgen systems and of compiled netgen nets, for
+    # targets random and reached: h(m) <= h(m') + 1 for every successor m',
+    # and h(m) = 0 wherever m covers the target.  These two facts let a
+    # bounded search drop a state found at depth g once g + h(m) > depth.
+    rng = random.Random(18)
+    steps = covering = finite = infinite = 0
+    for _ in range(40):
+        if rng.random() < 0.5:
+            system = random_object_system(rng)
+            markings = [random_marking(rng, system, max_tokens=4) for _ in range(4)]
+        else:
+            net = random_nupn(rng)
+            system = reduce_nunet(net).system
+            markings = explore_object_system(system, encode_config(net, random_config(rng, net)), 4).states
+            markings = rng.sample(markings, min(len(markings), 6))
+        targets = [random_marking(rng, system) for _ in range(3)] + rng.sample(markings, min(len(markings), 2))
+        for target in targets:
+            h = system.step_bound(target)
+            for m in markings:
+                here = h(m)
+                assert here == 0 or not covers(m, target)
+                covering += covers(m, target)
+                finite += 0 < here < math.inf
+                infinite += here == math.inf
+                for _, nxt in system.successors(m, {}, {}):
+                    assert here <= h(nxt) + 1
+                    steps += 1
+    assert steps >= 500 and covering >= 20 and finite >= 50 and infinite >= 20, (steps, covering, finite, infinite)
