@@ -11,6 +11,9 @@ A transition fires in a mode that picks one distinct tuple occurrence per
 standard variable with enough tokens for that variable's input arcs.  The
 picked tuples are updated per variable, every fresh variable contributes
 one new tuple, and untouched tuples stay as they are.
+
+A search steps from the tuples each mode picked, as _picks yields them;
+fire, the checked replay step, checks a given mode first.
 """
 
 from __future__ import annotations
@@ -212,8 +215,9 @@ class NuMode(NamedTuple):
         return cls(tuple(sorted(pairs)))
 
 
-def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
-    """Enabled modes, one per effect (the tuple each variable picks), sorted by effect.
+def _picks(net: NuNet, configuration: Multiset, t: str) -> Iterator[tuple[NuMode, tuple]]:
+    """The enabled modes, one per effect (the tuple each variable picks), in effect order, each with
+    the tuples it picks in name order, lazily.  The one mode enumerator.
 
     The k-th variable, in declaration order, to pick a tuple takes its k-th
     occurrence if there is one: the effect's first assignment in permutation order.
@@ -227,7 +231,6 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
     spans = {tup: (at, count) for (tup, count), at in zip(items, starts)}  # tuple -> (first occurrence, count)
     _, _, _, vectors, names, before = net._table(t)
     choices = [[tup for tup in spans if all(map(le, vectors[x][0], tup))] for x in names]
-    modes = []
     for picks in itertools.product(*choices):
         idxs = []
         for tup, earlier in zip(picks, before):
@@ -237,12 +240,24 @@ def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
                 break
             idxs.append(first + k)
         else:
-            modes.append(NuMode(tuple(zip(names, idxs))))
-    return modes
+            yield NuMode(tuple(zip(names, idxs))), picks
+
+
+def enabled_modes(net: NuNet, configuration: Multiset, t: str) -> list[NuMode]:
+    """Enabled modes, one per effect, sorted by effect: the modes of _picks."""
+    return [mode for mode, _ in _picks(net, configuration, t)]
+
+
+def _apply(configuration: Multiset, vectors: dict, fresh: Sequence[str], xs: Sequence[str], picks: Sequence[tuple]) -> Multiset:
+    """Update each tuple of picks by the (in, out) vectors of its variable in xs, and mint one tuple
+    per fresh variable.  The one update rule: the search and the checked step both call it."""
+    updated = [(tuple(m - d + o for m, d, o in zip(tup, *vectors[x])), 1) for x, tup in zip(xs, picks)]
+    return configuration.replace([(tup, 1) for tup in picks], updated + [(vectors[v][1], 1) for v in fresh])
 
 
 def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
-    """One step: update the picked tuples, mint the fresh ones."""
+    """The checked replay step: a mode of t's variables that picks distinct occurrences, each able to
+    pay its variable's demand, updates the picked tuples and mints the fresh ones."""
     occ = configuration.elements()
     _, xs, fresh, vectors, names, _ = net._table(t)
     if sorted(v for v, _ in mode.assignment) != names:
@@ -250,22 +265,22 @@ def fire(net: NuNet, configuration: Multiset, t: str, mode: NuMode) -> Multiset:
     idxs = [i for _, i in mode.assignment]
     if len(set(idxs)) != len(idxs) or any(i < 0 or i >= len(occ) for i in idxs):
         raise NotEnabledError(f"mode {mode.assignment} does not pick distinct occurrences of {configuration}")
-    updated = []
     for x, i in mode.assignment:
-        (din, dout), tup = vectors[x], occ[i]
-        if any(d > m for d, m in zip(din, tup)):
-            raise NotEnabledError(f"occurrence {tup} cannot pay {t!r}'s demand for {x}")
-        updated.append((tuple(m - d + o for m, d, o in zip(tup, din, dout)), 1))
-    return configuration.replace([(occ[i], 1) for i in idxs], updated + [(vectors[v][1], 1) for v in fresh])
+        if any(d > m for d, m in zip(vectors[x][0], occ[i])):
+            raise NotEnabledError(f"occurrence {occ[i]} cannot pay {t!r}'s demand for {x}")
+    return _apply(configuration, vectors, fresh, [x for x, _ in mode.assignment], [occ[i] for i in idxs])
 
 
 def successors(net: NuNet, configuration: Multiset) -> Iterator[tuple[tuple[str, NuMode], Multiset]]:
     """((transition, mode), next configuration) pairs, lazily: transitions in
-    declaration order, each one's modes in enabled_modes' order.  A search
-    expands a configuration with one call and fires nothing past its answer."""
+    declaration order, each one's modes in effect order as _picks yields them.
+    Each next configuration is built from the tuples the mode picked, so a
+    search builds no mode list, no occurrence list and checks no mode again,
+    and fires nothing past its answer."""
     for t in net.transitions:
-        for mode in enabled_modes(net, configuration, t):
-            yield (t, mode), fire(net, configuration, t, mode)
+        _, _, fresh, vectors, names, _ = net._table(t)
+        for mode, picks in _picks(net, configuration, t):
+            yield (t, mode), _apply(configuration, vectors, fresh, names, picks)
 
 
 def _dominators(new: list[tuple], goals: list[tuple]) -> dict[tuple, list[int]]:

@@ -185,18 +185,29 @@ def _many_names_net():
 def test_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
     # 12 distinct names give 12 * 11 * 10 * 9 = 11 880 modes.  In sorted order
     # the first nine give new states, the tenth repeats the first, and the
-    # eleventh is the state past the cap.
+    # eleventh is the state past the cap.  A search steps only through the
+    # pairs it draws from nunet.successors, so those are the steps it fires.
     net = _many_names_net()
     initial = config(net, [(k, 0) for k in range(1, 13)])
-    fires = []
-    real_fire = nunet.fire
-    monkeypatch.setattr(nunet, "fire", lambda *a, **k: fires.append(a) or real_fire(*a, **k))
+    steps = counted(monkeypatch, nunet, "successors", drawn=True)
     with pytest.raises(SearchLimitReached):
         explore_nunet(net, initial, depth=1, max_states=10)
-    assert len(fires) == 11
-    fires.clear()
+    assert len(steps) == 11
+    steps.clear()
     ans = cover_nunet(net, initial, config(net, [(0, 1)]), depth=1)  # the first successor covers
-    assert ans.covered and ans.depth == 1 and len(fires) == 1
+    assert ans.covered and ans.depth == 1 and len(steps) == 1
+
+
+def test_capped_search_on_thirty_names_lists_no_modes(monkeypatch):
+    # 30 distinct names give 657 720 modes.  The first 27 in sorted order give new
+    # states, so the tenth step is the state past the cap.  The search draws those
+    # ten one at a time and neither lists modes nor re-checks one.
+    net, init, _ = parse_nunet((DATA / "wide.nupn").read_text())
+    steps = counted(monkeypatch, nunet, "successors", drawn=True)
+    listed, fired = counted(monkeypatch, nunet, "enabled_modes"), counted(monkeypatch, nunet, "fire")
+    with pytest.raises(SearchLimitReached):
+        cover_nunet(net, init, config(net, [(0, 5)]), depth=1, max_states=10)
+    assert len(steps) == 10 and listed == fired == []
 
 
 def test_object_system_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
@@ -234,21 +245,28 @@ def test_search_core_reads_no_net_internals():
     assert read and not [attr for attr in read if attr.startswith("_") and not attr.startswith("__")]
 
 
-def counted(monkeypatch, owner, name):
+def counted(monkeypatch, owner, name, drawn=False):
     """Route owner.name, under every name a nestnets module holds it by, through
-    a counter; returns the list of each call's arguments."""
+    a counter; returns the list of each call's arguments or, when drawn, of each
+    item drawn from the generators it returns."""
     real, calls = getattr(owner, name), []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(owner, name, counting)
+    def drawing(*args):
+        for item in real(*args):
+            calls.append(item)
+            yield item
+
+    wrapper = drawing if drawn else counting
+    monkeypatch.setattr(owner, name, wrapper)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "nestnets":
             for attr, value in list(vars(module).items()):
                 if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(module, attr, wrapper)
     return calls
 
 

@@ -384,6 +384,24 @@ def test_fire_takes_directly_built_unsorted_modes():
         fire(two, cfg, "t", NuMode((("y", 0), ("x", 1))))
 
 
+def test_successors_step_as_fire_and_the_oracle_do():
+    # A search steps from the tuples each mode picked; fire finds a mode's tuples
+    # by occurrence and checks them.  The two give the same pairs in the same
+    # order, and per transition the next configurations are the oracle's.
+    rng = random.Random(3202)
+    pairs = 0
+    for _ in range(300):
+        net = random_nupn(rng)
+        base = random_config(rng, net, max_tuples=4)
+        cfg = base + Multiset(rng.choices(base.elements(), k=rng.randint(0, 2))) if base else base
+        got = list(nunet.successors(net, cfg))
+        assert got == [((t, m), fire(net, cfg, t, m)) for t in net.transitions for m in enabled_modes(net, cfg, t)]
+        for t in net.transitions:
+            assert {nxt.sort_key() for (u, _), nxt in got if u == t} == nu_successors(net, cfg, t), (net, cfg, t)
+        pairs += len(got)
+    assert pairs > 500, pairs
+
+
 # -- the embedding order ---------------------------------------------------------
 
 def test_covers_hand_cases():
