@@ -14,12 +14,13 @@ resource bounds: a depth budget and a state cap.  A cover query tests each
 state when it is first found and stops at the first that covers, so a
 covering state among the first max_states found is an answer.  Recording
 one more state raises SearchLimitReached; running out of depth is an
-ordinary NotCovered answer carrying the depth actually explored.  An
-object-system cover query also drops, uncounted, each state that its
-system's step bound shows cannot cover within the depth it has left.  States
-are found in a fixed enumeration order (a layer in the order its states
-were first reached, actions in declaration order, modes in canonical
-order) and never sorted, so repeated runs produce byte-identical results.
+ordinary NotCovered answer carrying the depth actually explored.  A cover
+query also drops, uncounted, each state that its net's step bound
+(nunet.step_bound or ObjectSystem.step_bound) shows cannot cover within the
+depth it has left.  States are found in a fixed enumeration order (a layer
+in the order its states were first reached, actions in declaration order,
+modes in canonical order) and never sorted, so repeated runs produce
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .multisets import Multiset
-from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, fire as nu_fire, successors as nu_successors
+from .nunet import NuNet, NuMode, config as nu_config, covers as nu_covers, fire as nu_fire
+from .nunet import step_bound as nu_step_bound, successors as nu_successors
 from .objectsystem import EventMode, ObjectSystem, covers as os_covers
 from .reduction import (
     CONTROL,
@@ -184,12 +186,14 @@ def cover_nunet(
     max_states: int = DEFAULT_MAX_STATES,
     exact: bool = False,
 ) -> CoverAnswer:
-    """Covering is embedding, or inclusion when exact."""
+    """Covering is embedding, or inclusion when exact.  Either way the search
+    drops the configurations that nunet.step_bound shows cannot embed the
+    target in the steps they have left, as inclusion implies embedding."""
     nu_config(net, initial.support())
     nu_config(net, target.support())
     memo: dict = {}  # nu_covers' domination memo
     covers = lambda configuration: nu_covers(configuration, target, exact=exact, memo=memo)
-    return _cover(partial(nu_successors, net), covers, initial, depth, max_states)
+    return _cover(partial(nu_successors, net), covers, initial, depth, max_states, nu_step_bound(net, target))
 
 
 def replay_nunet(net: NuNet, initial: Multiset, witness: Iterable[tuple[str, NuMode]]) -> Multiset:

@@ -13,14 +13,17 @@ picked tuples are updated per variable, every fresh variable contributes
 one new tuple, and untouched tuples stay as they are.
 
 A search steps from the tuples each mode picked, as _picks yields them;
-fire, the checked replay step, checks a given mode first.
+fire, the checked replay step, checks a given mode first.  A cover search
+also drops each configuration that step_bound shows cannot cover in the
+steps it has left.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter, le
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
@@ -281,6 +284,87 @@ def successors(net: NuNet, configuration: Multiset) -> Iterator[tuple[tuple[str,
         _, _, fresh, vectors, names, _ = net._table(t)
         for mode, picks in _picks(net, configuration, t):
             yield (t, mode), _apply(configuration, vectors, fresh, names, picks)
+
+
+def step_bound(net: NuNet, target: Multiset) -> Callable[[Multiset], float]:
+    """A function from a configuration to a lower bound on the steps it needs
+    to reach one that covers target, by embedding and so by inclusion too: 0
+    or more, or math.inf.
+
+    One step changes each tuple its mode picks by the picking variable's
+    out - in vector and leaves every other tuple alone, so on place q a name
+    gains at most g_q, the largest such entry (or 0), per step; a fresh
+    variable mints a name with its out vector.  A target tuple is covered by
+    one name, which is a tuple sigma now or is minted later, so from sigma it
+    needs max over q of ceil((target_q - sigma_q)+ / g_q) steps (infinite
+    where a deficit has no gain), and from a minted vector one step more.
+    The bound is the largest over the target's non-zero tuples of the
+    cheapest of these costs.  It is 0 on every covering configuration and
+    falls by at most 1 per step, so a bounded search may drop a configuration
+    found at depth d once d plus the bound exceeds its depth.
+
+    Per target tuple the function keeps a witness: the configuration tuple
+    (or a minted name) that gave its cost last time, and that cost.  A target
+    tuple whose witness is gone is scanned first; one whose witness is still
+    present is scanned only if that witness costs more than the bound found
+    so far, and a scan stops at the first tuple that costs no more.  So the
+    function keeps one witness per target tuple, not one cost per pair, and
+    a search whose states share most tuples scans few of them."""
+    gains = [0] * len(net.places)
+    minted = []
+    for t in net.transitions:
+        _, xs, fresh, vectors, _, _ = net._table(t)
+        for x in xs:
+            gains = [max(g, o - d) for g, d, o in zip(gains, *vectors[x])]
+        minted += [vectors[v][1] for v in fresh]
+
+    def cost(goal: tuple, tup: tuple) -> float:
+        steps = 0
+        for want, have, gain in zip(goal, tup, gains):
+            if want > have:
+                if not gain:
+                    return math.inf
+                steps = max(steps, -(-(want - have) // gain))
+        return steps
+
+    def scan(entry: list, configuration: Multiset, steps: float) -> float:
+        """steps, or the cheapest cost of entry's target tuple where that is higher.  A scan stops
+        at the first tuple that costs no more than steps, and files the cheapest lineage found
+        (a tuple, or None for a minted name) with its cost in entry."""
+        goal, best, witness = entry[0], entry[1], None
+        for tup, _ in configuration.counts():
+            here = cost(goal, tup)
+            if here < best:
+                best, witness = here, tup
+                if best <= steps:
+                    break
+        entry[2:] = witness, best
+        return max(steps, best)
+
+    # per non-zero target tuple: [it, its cost from a minted name, its last witness, the witness's cost]
+    goals = None
+
+    def bound(configuration: Multiset) -> float:
+        nonlocal goals
+        if goals is None:  # built on the first call: a search whose initial configuration covers makes none
+            goals = []
+            for goal, _ in target.counts():
+                if any(goal):
+                    born = min((1 + cost(goal, tup) for tup in minted), default=math.inf)
+                    goals.append([goal, born, None, born])
+        steps = 0
+        kept = []  # the goals whose witness is still here: scanned last, once the bound is highest
+        for entry in goals:
+            if entry[2] is None or entry[2] in configuration:
+                kept.append(entry)
+            else:
+                steps = scan(entry, configuration, steps)
+        for entry in kept:
+            if entry[3] > steps:  # else its witness shows that it cannot raise the bound
+                steps = scan(entry, configuration, steps)
+        return steps
+
+    return bound
 
 
 def _dominators(new: list[tuple], goals: list[tuple]) -> dict[tuple, list[int]]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import nestnets
 from nestnets import (InvalidNetError, ParseError, SearchLimitReached, cli, coverability, cover_object_system,
-                      explore_object_system, objectsystem, parse_marking, parse_nunet, parse_object_system, print_nunet,
+                      explore_object_system, nunet, objectsystem, parse_marking, parse_nunet, parse_object_system, print_nunet,
                       print_object_system)
 from nestnets.cli import main
 from nestnets.coverability import DEFAULT_MAX_STATES
@@ -310,10 +310,26 @@ def test_cover_miss(capsys):
 
 
 def test_cover_limit(capsys):
-    code, _, err = run(capsys, "cover", D0, "--target", "[3 3]", "--depth", "40",
-                       "--max-states", "5")
+    # Each step of d0 moves one name to [0 1] and mints one more, so the first
+    # state with five names on [0 1] is the sixth found: past a cap of 5.  The
+    # step bound cannot drop a state here, as one name reaches [0 1] in a step.
+    five = "[0 1] [0 1] [0 1] [0 1] [0 1]"
+    code, _, err = run(capsys, "cover", D0, "--target", five, "--depth", "40", "--max-states", "5")
     assert code == 3
     assert "max_states" in err
+    code, out, _ = run(capsys, "cover", D0, "--target", five, "--depth", "40", "--max-states", "6")
+    assert code == 0 and out.startswith("covered at depth 5\n")
+
+
+def test_cover_out_of_every_names_reach_searches_nothing(capsys, monkeypatch):
+    # No name of d0 ever gains a token on p, so no name reaches [3 3]: the step
+    # bound answers at the start, within the cap of 5, and draws no successor.
+    steps = []
+    real = nunet.successors
+    monkeypatch.setattr(coverability, "nu_successors", lambda *a: steps.append(a) or real(*a))
+    assert run(capsys, "cover", D0, "--target", "[3 3]", "--depth", "40", "--max-states", "5") == (
+        2, "not covered within depth 40\n", "")
+    assert steps == []
 
 
 def test_cover_within_the_cap_exits_zero(capsys):
@@ -453,9 +469,15 @@ def test_wide_marking_successors_are_never_sorted(monkeypatch):
         return os_covers(marking, target)
 
     monkeypatch.setattr(coverability, "os_covers", recording_covers)
-    answer = cover_object_system(system, init, parse_marking("done { a:301 }", system), 1)
+    # One token holds a:300, and the target asks for two: each of the 300
+    # successors has a token on done, so the step bound keeps and tests all.
+    answer = cover_object_system(system, init, parse_marking("done { a:300 } pool { a:300 }", system), 1)
     assert not answer.covered and len(checked) == 301 and checked[0] == init
     assert all(m._items is None and m._key is None for m in layer + checked[1:])
+    # No token ever holds a:301, so the step bound answers with no search.
+    checked.clear()
+    answer = cover_object_system(system, init, parse_marking("done { a:301 }", system), 1)
+    assert not answer.covered and answer.depth == 1 and checked == [init]
 
 
 # A names-style query: many equal names on three distinct vectors.  Its shortest
@@ -547,11 +569,19 @@ def test_cover_eos_that_drops_a_state_claims_no_exhausted_space(capsys):
 
 
 def test_cover_exhausted_note(capsys, tmp_path):
+    # The one name moves from p to q and stops.  A name reaches [0 1] in one
+    # step, so the step bound keeps both states, and the search closes the
+    # space without finding a second name for the target's second copy.
     f = tmp_path / "finite.nupn"
-    f.write_text("nupn n\nplaces p\nvars x\ntrans t\n in p : x\nend\ninit [1]\n")
-    code, out, _ = run(capsys, "cover", str(f), "--target", "[2]", "--depth", "50")
+    f.write_text("nupn n\nplaces p q\nvars x\ntrans t\n in p : x\n out q : x\nend\ninit [1 0]\n")
+    code, out, _ = run(capsys, "cover", str(f), "--target", "[0 1] [0 1]", "--depth", "50")
     assert code == 2
     assert out == "not covered within depth 1 (state space exhausted)\n"
+    # Here the one name only loses its token, so no name reaches [2]: the step
+    # bound answers with no search, which has not closed the space, so the
+    # note is not printed.
+    f.write_text("nupn n\nplaces p\nvars x\ntrans t\n in p : x\nend\ninit [1]\n")
+    assert run(capsys, "cover", str(f), "--target", "[2]", "--depth", "50") == (2, "not covered within depth 50\n", "")
 
 
 # -- cover-transfer -------------------------------------------------------------

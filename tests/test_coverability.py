@@ -137,12 +137,24 @@ def test_cover_nunet_miss_reports_depth():
 
 
 def test_cover_nunet_exhausted():
-    net = NuNet("n", ("p",), ("t",), standard_vars=("x",),
-                inflow={"t": {"p": Multiset(["x"])}})
-    ans = cover_nunet(net, config(net, [(1,)]), config(net, [(2,)]), 50)
+    # The one name moves from p to q and stops: two states.  A name reaches
+    # (0, 1), so the step bound keeps both, and the space closes at depth 1
+    # without a second name for the target's second copy.
+    net = NuNet("n", ("p", "q"), ("t",), standard_vars=("x",),
+                inflow={"t": {"p": Multiset(["x"])}}, outflow={"t": {"q": Multiset(["x"])}})
+    ans = cover_nunet(net, config(net, [(1, 0)]), config(net, [(0, 1), (0, 1)]), 50)
     assert not ans.covered
     assert ans.exhausted
     assert ans.depth == 1
+
+
+def test_cover_nunet_out_of_every_names_reach():
+    # The one name only loses its token, so no name reaches (2,): the step
+    # bound answers at the start, at the full depth, without closing the space.
+    net = NuNet("n", ("p",), ("t",), standard_vars=("x",),
+                inflow={"t": {"p": Multiset(["x"])}})
+    ans = cover_nunet(net, config(net, [(1,)]), config(net, [(2,)]), 50)
+    assert ans == (False, None, None, 50, False)
 
 
 def test_cover_exact_flag():
@@ -158,10 +170,17 @@ def test_cover_exact_flag():
 
 
 def test_cover_limit():
+    # Each step of d0 moves one name to (0, 1) and mints one more: the first
+    # state with ten names there is the eleventh found, past a cap of 10.
     net = d0()
+    ten = config(net, [(0, 1)] * 10)
     with pytest.raises(SearchLimitReached) as err:
-        cover_nunet(net, config(net, [(1, 0)]), config(net, [(9, 9)]), 50, max_states=10)
+        cover_nunet(net, config(net, [(1, 0)]), ten, 50, max_states=10)
     assert "max_states" in str(err.value)
+    assert cover_nunet(net, config(net, [(1, 0)]), ten, 50, max_states=11).depth == 10
+    # No name ever gains a token on p, so none reaches (9, 9): no search.
+    assert cover_nunet(net, config(net, [(1, 0)]), config(net, [(9, 9)]), 50, max_states=10) == (
+        False, None, None, 50, False)
 
 
 def test_cover_within_the_cap_is_an_answer():
@@ -201,13 +220,20 @@ def test_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
 def test_capped_search_on_thirty_names_lists_no_modes(monkeypatch):
     # 30 distinct names give 657 720 modes.  The first 27 in sorted order give new
     # states, so the tenth step is the state past the cap.  The search draws those
-    # ten one at a time and neither lists modes nor re-checks one.
+    # ten one at a time and neither lists modes nor re-checks one.  Each step puts
+    # a token on q for four names, never five, and every step's names reach
+    # (0, 1), so the step bound drops none of them.
     net, init, _ = parse_nunet((DATA / "wide.nupn").read_text())
     steps = counted(monkeypatch, nunet, "successors", drawn=True)
     listed, fired = counted(monkeypatch, nunet, "enabled_modes"), counted(monkeypatch, nunet, "fire")
     with pytest.raises(SearchLimitReached):
-        cover_nunet(net, init, config(net, [(0, 5)]), depth=1, max_states=10)
+        cover_nunet(net, init, config(net, [(0, 1)] * 5), depth=1, max_states=10)
     assert len(steps) == 10 and listed == fired == []
+    # A name gains one token on q per step, so (0, 5) is 5 steps away from every
+    # name: the step bound answers at the start, and the search draws nothing.
+    steps.clear()
+    assert cover_nunet(net, init, config(net, [(0, 5)]), depth=1, max_states=10) == (False, None, None, 1, False)
+    assert steps == listed == fired == []
 
 
 def test_object_system_search_fires_nothing_after_its_answer_or_its_cap(monkeypatch):
@@ -503,31 +529,92 @@ def _searches(system, initial, target, depth, bound):
         return "max_states"
 
 
+def _compare_bounded(plain, bounded, depth):
+    """Check a pruned search against the unpruned one where that finished:
+    the same verdict, witness, state and depth, and the unpruned states
+    minus the dropped ones, in the same order with the same parents.  A
+    pruned search that closes after dropping a state reports the full depth
+    and no exhausted space.  Returns whether it dropped a state."""
+    (closed, _, hit, parents), answer = plain
+    (b_closed, _, b_hit, b_parents), b_answer = bounded
+    assert b_hit == hit
+    assert list(b_parents) == [s for s in parents if s in b_parents]
+    assert all(b_parents[s] == parents[s] for s in b_parents)
+    if b_answer != answer:  # only a closed space may read differently
+        assert closed and not b_closed and b_answer == answer._replace(depth=depth, exhausted=False)
+    if b_closed:  # nothing was dropped
+        assert b_parents == parents
+    return len(b_parents) < len(parents)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_step_bound_keeps_every_answer(seed):
     # Wherever the unpruned search finishes, the pruned one gives the same
-    # verdict, witness, state and depth, and its states are the unpruned
-    # ones minus those it dropped, in the same order with the same parents.
-    # A pruned search that closes after dropping a state reports the full
-    # depth and no exhausted space.
+    # answer, and keeps the unpruned states it does not drop (_compare_bounded).
     compared = pruned = covered = 0
     for system, initial, target, depth in _step_bound_queries(random.Random(seed)):
         plain = _searches(system, initial, target, depth, bound=False)
         if plain == "max_states":
             continue
-        (closed, _, hit, parents), answer = plain
-        (b_closed, _, b_hit, b_parents), b_answer = _searches(system, initial, target, depth, bound=True)
-        assert b_hit == hit
-        assert list(b_parents) == [s for s in parents if s in b_parents]
-        assert all(b_parents[s] == parents[s] for s in b_parents)
-        if b_answer != answer:  # only a closed space may read differently
-            assert closed and not b_closed and b_answer == answer._replace(depth=depth, exhausted=False)
-        if b_closed:  # nothing was dropped
-            assert b_parents == parents
+        pruned += _compare_bounded(plain, _searches(system, initial, target, depth, bound=True), depth)
         compared += 1
-        pruned += len(b_parents) < len(parents)
-        covered += answer.covered
+        covered += plain[1].covered
     assert compared >= 60 and pruned >= 10 and covered >= 30, (compared, pruned, covered)
+
+
+def _name_net_queries(rng):
+    """(net, initial, target, depth) cover queries on netgen nets: a random
+    target, one that asks for more copies of a reached tuple than the names
+    reached, and configurations the search reaches, searched at the depth
+    that reaches them."""
+    queries = []
+    for _ in range(40):
+        net = random_nupn(rng)
+        initial, depth = random_config(rng, net), rng.randint(1, 4)
+        queries.append((net, initial, random_config(rng, net), depth))
+        for d in range(1, depth + 1):
+            try:
+                states = explore_nunet(net, initial, d, 400).states
+            except SearchLimitReached:
+                break
+            goals = [rng.choice(states), states[-1]]
+            last = states[-1].support()
+            if last:
+                goals.append(Multiset([rng.choice(last)] * (len(states[-1]) + 1)))
+            queries += [(net, initial, goal, d) for goal in goals]
+    return queries
+
+
+def _name_net_searches(net, initial, target, depth, bound, exact):
+    """_search's and _cover's outcomes on one name-net cover query, or "max_states"."""
+    memo: dict = {}
+    successors = partial(nunet.successors, net)
+    covers = lambda configuration: nunet.covers(configuration, target, exact=exact, memo=memo)
+    h = nunet.step_bound(net, target) if bound else None
+    try:
+        return (coverability._search(successors, initial, depth, 3000, covers, bound=h),
+                coverability._cover(successors, covers, initial, depth, 3000, h))
+    except SearchLimitReached:
+        return "max_states"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_name_net_step_bound_keeps_every_answer(seed):
+    # As test_step_bound_keeps_every_answer, for name nets, by embedding and by
+    # inclusion, and cover_nunet gives the pruned answer.
+    rng = random.Random(seed)
+    compared = pruned = covered = 0
+    for net, initial, target, depth in _name_net_queries(rng):
+        exact = rng.random() < 0.3
+        plain = _name_net_searches(net, initial, target, depth, False, exact)
+        if plain == "max_states":
+            continue
+        bounded = _name_net_searches(net, initial, target, depth, True, exact)
+        pruned += _compare_bounded(plain, bounded, depth)
+        assert cover_nunet(net, initial, target, depth, 3000, exact=exact) == bounded[1]
+        compared += 1
+        covered += plain[1].covered
+    assert compared >= 250 and pruned >= 20 and covered >= 150, (compared, pruned, covered)
 
 
 # -- minimal runs of the compiled system ---------------------------------------

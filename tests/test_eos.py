@@ -26,6 +26,7 @@ from nestnets import (
     fire,
     idle_id,
     parse_nunet,
+    parse_marking,
     parse_object_system,
     project_system,
     reduce_nunet,
@@ -35,6 +36,7 @@ from nestnets import objectsystem
 from nestnets.objectsystem import _by_place, _distributions
 from netgen import random_config, random_marking, random_nupn, random_object_system
 from oracles import eos_mode_keys, eos_successors
+from test_coverability import SPLIT_EOS
 
 
 DATA = Path(__file__).parent / "data"
@@ -858,3 +860,20 @@ def test_step_bound_falls_by_at_most_one_per_step_and_is_zero_on_covers():
                     assert here <= h(nxt) + 1
                     steps += 1
     assert steps >= 500 and covering >= 20 and finite >= 50 and infinite >= 20, (steps, covering, finite, infinite)
+
+
+def test_step_bound_token_term_is_off_where_an_event_merges_tokens():
+    # Two tokens that hold the target token's inner marking only together: the
+    # aggregate term reads 0 on them.  On the courier no event consumes two doc
+    # tokens, so the token term counts each token alone: the draft token must
+    # be stamped, and the stamped one can never regain a draft.  The split/merge
+    # system's merge event consumes two data tokens, so its bound is the
+    # aggregate term alone.
+    for text, marking, target, expected in (
+        ((DATA / "courier.eos").read_text(), "inbox { draft:1 } inbox { final:1 }", "inbox { draft:1 final:1 }", 1),
+        (SPLIT_EOS, "o0 { a:1 } o0 { b:1 }", "o0 { a:1 b:1 }", 0),
+    ):
+        system, _, _ = parse_object_system(text)
+        marking, target = parse_marking(marking, system), parse_marking(target, system)
+        assert not covers(marking, target)
+        assert system.step_bound(target)(marking) == expected

@@ -2,13 +2,15 @@
 
 import copy
 import itertools
+import math
+import operator
 import random
 import sys
 import tracemalloc
 
 import pytest
 
-from nestnets import Multiset, NotEnabledError, NuNet, cover_nunet, nunet
+from nestnets import Multiset, NotEnabledError, NuNet, cover_nunet, encode_config, explore_nunet, nunet, reduce_nunet
 from nestnets.matching import has_perfect_left_matching
 from nestnets.nunet import (
     NuMode,
@@ -676,7 +678,11 @@ def test_search_indexes_each_tuple_once_per_target(monkeypatch):
     checks = []
     real_covers = nunet.covers
     monkeypatch.setattr("nestnets.coverability.nu_covers", lambda *a, **k: checks.append(a) or real_covers(*a, **k))
-    for target in (config(net, [(0, 0, 9)]), config(net, [(0, 1, 1), (0, 1, 1), (0, 0, 5)])):  # neither is coverable
+    # Neither target is coverable within 4 steps: only t2 puts a token on r, on
+    # one name per step, and one name holds one now, so at most five names hold
+    # one.  Both ask for six, and some name reaches each of their tuples, so the
+    # step bound keeps every state.
+    for target in (config(net, [(0, 0, 1)] * 6), config(net, [(0, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1)])):
         calls.clear()
         checks.clear()
         answer = cover_nunet(net, initial, target, depth=4)
@@ -686,6 +692,16 @@ def test_search_indexes_each_tuple_once_per_target(monkeypatch):
         assert set(passed) == {tup for state, _ in checks for tup in state.support()}
         assert all(set(wanted) == set(target.support()) for _, wanted in calls)
         assert len(checks) > 4 * len(calls)  # most checks index nothing
+    # A name gains at most one token on r per step.  So (0, 0, 9) is 8 steps from
+    # every name, and the step bound answers at the start.  No name gets a fifth
+    # token on r within 4 steps, so no state the second search keeps has bound
+    # 0.  Each search tests only the initial configuration, indexing its tuples
+    # once.
+    for target in (config(net, [(0, 0, 9)]), config(net, [(0, 1, 1), (0, 1, 1), (0, 0, 5)])):
+        calls.clear()
+        checks.clear()
+        assert cover_nunet(net, initial, target, depth=4) == (False, None, None, 4, False)
+        assert [state for state, _ in checks] == [initial] and len(calls) == 1
 
 
 def test_domination_memo_dies_with_the_search(monkeypatch):
@@ -736,3 +752,54 @@ def test_covers_quasi_order():
             assert covers(a, c)
         if covers(a, b, exact=True):
             assert covers(a, b)  # exact inclusion implies embedding
+
+
+# -- step bound -----------------------------------------------------------------
+
+def test_step_bound_falls_by_at_most_one_per_step_and_is_zero_on_covers():
+    # On configurations that searches of netgen nets reach, for targets random,
+    # reached, and reached with one more token on every entry: h(c) <= h(c') + 1
+    # for every successor c', and h(c) = 0 wherever c covers the target.  These
+    # two facts let a bounded search drop a configuration found at depth d once
+    # d + h(c) > depth.
+    rng = random.Random(33)
+    steps = covering = finite = infinite = 0
+    for _ in range(80):
+        net = random_nupn(rng)
+        states = explore_nunet(net, random_config(rng, net), 2, 5000).states
+        configurations = rng.sample(states, min(len(states), 6))
+        targets = [random_config(rng, net) for _ in range(3)] + rng.sample(states, min(len(states), 2))
+        targets.append(Multiset(tuple(k + 1 for k in tup) for tup in rng.choice(states).elements()))
+        for target in targets:
+            h = nunet.step_bound(net, target)
+            for c in configurations:
+                here = h(c)
+                assert here == 0 or not covers(c, target)
+                covering += covers(c, target)
+                finite += 0 < here < math.inf
+                infinite += here == math.inf
+                for _, nxt in nunet.successors(net, c):
+                    assert here <= h(nxt) + 1
+                    steps += 1
+    assert steps >= 1500 and covering >= 300 and finite >= 60 and infinite >= 300, (steps, covering, finite, infinite)
+
+
+def test_step_bound_sees_each_name_alone():
+    # A target tuple that two names hold only together is at least a step away
+    # from each name, so the bound is at least 1 where an aggregate over the
+    # names reads 0; the compiled system's token term agrees.
+    rng = random.Random(34)
+    seen = 0
+    for _ in range(100):
+        net = random_nupn(rng)
+        names = random_config(rng, net, max_tuples=4)
+        if len(names) < 2:
+            continue
+        whole = tuple(map(sum, zip(*names.elements()[:2])))
+        if any(all(map(operator.le, whole, tup)) for tup in names.support()):
+            continue  # one name holds it
+        target = config(net, [whole])
+        assert nunet.step_bound(net, target)(names) >= 1
+        assert reduce_nunet(net).system.step_bound(encode_config(net, target))(encode_config(net, names)) >= 1
+        seen += 1
+    assert seen >= 30, seen
