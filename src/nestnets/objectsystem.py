@@ -24,9 +24,10 @@ be split and merged freely across equally typed outputs.
 from __future__ import annotations
 
 import itertools
-import math
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .bounds import _lineage_term, _steps
 from .matching import has_perfect_left_matching
 from .multisets import EMPTY, Multiset
 from .petri import BLACK, BLACK_ID, NotEnabledError, PetriNet, _claim_ids, _IdError, _unique_ids
@@ -392,33 +393,30 @@ class ObjectSystem:
         The aggregate term: a covering marking holds at least the target's
         tokens on each system place and, per object net and inner place, at
         least the target's inner tokens there summed over the tokens of that
-        net's type.  One step raises such a coordinate by at most its gain, so
-        the term is the largest ceil(deficit / gain) over the coordinates in
-        deficit, and infinite when no event raises one of them.
+        net's type.  One step raises such a coordinate by at most its gain,
+        the most one event adds there, so the term is bounds._steps of the
+        target over the marking on these coordinates.
 
         The token term, for each object net of which no event consumes two
-        tokens.  An event that consumes one token of the net splits what that
-        token holds after theta fired over the tokens of the net it makes, so
-        on inner place q a token gains at most the largest made_q - used_q of
-        such an event (or 0) per step; an event that consumes none makes each
-        token of the net with at most theta's made.  A target token is covered
-        by one token, which is a token sigma of its net now or is made later,
-        so from sigma it needs the largest ceil((target_q - sigma_q)+ /
-        gain_q) steps, infinite where a deficit has no gain, and from a made
-        one step more.  The term is the largest over the target's non-empty
-        inner markings of the cheapest of these costs.  Per target inner
-        marking the function keeps a witness token, and scans the marking's
-        tokens as nunet.step_bound scans its configuration's tuples."""
+        tokens, is the lineage term of bounds._lineage_term over the target's
+        non-empty inner markings, with the net's tokens as the elements.  An
+        event that consumes one token of the net splits what that token holds
+        after theta fired over the tokens of the net it makes, so on inner
+        place q a token gains at most the largest made_q - used_q of such an
+        event (or 0) per step; an event that consumes none makes each token of
+        the net with at most theta's made: the births of the net's goals."""
         need: dict[str | tuple[str, str], int] = {}
+        demanded: dict[str, dict[str, tuple[str, str]]] = {}  # per object net, inner place -> its coordinate
         for tok, c in target.counts():
             need[tok.place] = need.get(tok.place, 0) + c
             net_id = self.typing[tok.place]
             for q, k in tok.inner.counts():
                 need[net_id, q] = need.get((net_id, q), 0) + k * c
+                demanded.setdefault(net_id, {})[q] = (net_id, q)
         gains = dict.fromkeys(need, 0)  # the largest gain of one event on each coordinate, or 0
         merged = set()  # the object nets of which some event consumes two tokens
         inner_gains: dict[str, dict[str, int]] = {}  # per object net and inner place, the largest gain of a token
-        made_of: dict[str, list[Multiset]] = {}  # per object net, the most an event makes a new token of it with
+        made_of: dict[str, list[NestedToken]] = {}  # per object net, the new tokens of it events make, at their most
         for _, e, _, _, (inputs, slots, theta) in self._shapes.values():
             step = dict(self.system.post_of(e.transition).counts())
             taken: dict[str, int] = {}  # per object net, the tokens the event consumes
@@ -436,82 +434,43 @@ class ObjectSystem:
                 for q, k in made.counts():
                     step[net_id, q] = step.get((net_id, q), 0) + k - used.count(q)
                     per_place[q] = max(per_place.get(q, 0), k - used.count(q))
-            for coordinate in need:
-                gains[coordinate] = max(gains[coordinate], step.get(coordinate, 0))
-            for net_id in slots:
+            for coordinate, gain in step.items():
+                if coordinate in gains and gain > gains[coordinate]:
+                    gains[coordinate] = gain
+            for net_id, places in slots.items():
                 if net_id not in taken:
-                    made_of.setdefault(net_id, []).append(fired.get(net_id, EMPTY))
-
-        def cost(goal: Multiset, inner: Multiset, per_place: dict[str, int]) -> float:
-            steps = 0
-            for q, want in goal.counts():
-                deficit = want - inner.count(q)
-                if deficit > 0:
-                    gain = per_place.get(q, 0)
-                    if not gain:
-                        return math.inf
-                    steps = max(steps, -(-deficit // gain))
-            return steps
-
-        def scan(entry: list, marking: Multiset, steps: float) -> float:
-            """steps, or the cheapest cost of entry's inner marking where that is higher, filing the
-            cheapest lineage found (a token, or None for a made one) and its cost in entry, as
-            nunet.step_bound's scan does."""
-            net_id, goal, per_place, best = entry[:4]
-            witness = None
-            for tok, _ in marking.counts():
-                if self.typing[tok.place] == net_id:
-                    here = cost(goal, tok.inner, per_place)
-                    if here < best:
-                        best, witness = here, tok
-                        if best <= steps:
-                            break
-            entry[4:] = witness, best
-            return max(steps, best)
+                    made_of.setdefault(net_id, []).append(NestedToken(places[0], fired.get(net_id, EMPTY)))
 
         # The token term's goals: per distinct non-empty inner marking of a target token of a net that no
-        # event merges, [its net, it, its net's gains, its cost from a made token, its last witness, the
-        # witness's cost].
+        # event merges, its net, its demands on the net's inner places and the net's births.
         goals = []
         for net_id, goal in dict.fromkeys((self.typing[tok.place], tok.inner) for tok, _ in target.counts()):
             if goal and net_id not in merged:
                 per_place = inner_gains.get(net_id, {})
-                born = min((1 + cost(goal, m, per_place) for m in made_of.get(net_id, ())), default=math.inf)
-                goals.append([net_id, goal, per_place, born, None, born])
-        # system place -> {inner place: coordinate} for the inner places of its net that the target demands
-        wanted_of = {p: {c[1]: c for c in need if isinstance(c, tuple) and c[0] == net_id}
-                     for p, net_id in self.typing.items()}
+                goals.append((net_id, [(q, k, per_place.get(q, 0)) for q, k in goal.counts()], made_of.get(net_id, ())))
+        typing = self.typing
+
+        def tokens(net_id: str, marking: Multiset) -> Iterator[NestedToken]:
+            return (tok for tok in marking.counts().mapping if typing[tok.place] == net_id)
+
+        term = _lineage_term(goals, tokens, attrgetter("inner.count"))
+        wanted_of = {p: demanded.get(net_id, {}) for p, net_id in typing.items()}
+        zeros = dict.fromkeys(need, 0)
+        aggregate = [(c, k, gains[c]) for c, k in need.items()]  # the aggregate term's demands
 
         def bound(marking: Multiset) -> float:
-            left = need.copy()  # the deficit on each coordinate
+            have = zeros.copy()  # the marking's count on each coordinate
             for tok, c in marking.counts():
                 place = tok.place
-                if place in left:
-                    left[place] -= c
+                if place in have:
+                    have[place] += c
                 wanted = wanted_of[place]
                 if wanted:
                     for q, k in tok.inner.counts():
                         coordinate = wanted.get(q)
                         if coordinate is not None:
-                            left[coordinate] -= c * k
-            steps = 0
-            for coordinate, gain in gains.items():
-                deficit = left[coordinate]
-                if deficit > 0:
-                    if not gain:
-                        return math.inf
-                    if deficit > steps * gain:  # ceil(deficit / gain) > steps
-                        steps = -(-deficit // gain)
-            kept = []  # the goals whose witness is still here: scanned last, once the bound is highest
-            for entry in goals:
-                if entry[4] is None or entry[4] in marking:
-                    kept.append(entry)
-                else:
-                    steps = scan(entry, marking, steps)
-            for entry in kept:
-                if entry[5] > steps:  # else its witness shows that it cannot raise the bound
-                    steps = scan(entry, marking, steps)
-            return steps
+                            have[coordinate] += c * k
+            return term(marking, _steps(aggregate, have.__getitem__))
 
         return bound
 
