@@ -85,6 +85,8 @@ class Multiset:
     def count(self, element: Any) -> int:
         return self._counts.get(element, 0)
 
+    __getitem__ = count  # so a multiset is a holding of bounds._steps
+
     def support(self) -> list:
         """Distinct elements, canonically ordered."""
         return [e for e, _ in self._canonical()]

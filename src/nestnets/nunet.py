@@ -16,13 +16,13 @@ A search steps from the tuples each mode picked, as _picks yields them;
 fire, the checked replay step, checks a given mode first.  A cover search
 also drops each configuration that step_bound shows cannot cover in the
 steps it has left: the lineage term of bounds._lineage_term, whose
-docstring states why it holds, with names as its elements.
+docstring states why it holds, with names' tuples as its holdings.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, itemgetter, le
+from operator import itemgetter, le
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bounds import _lineage_term
@@ -291,7 +291,8 @@ def step_bound(net: NuNet, target: Multiset) -> Callable[[Multiset], float]:
     """A function from a configuration to a lower bound on the steps it needs
     to reach one that covers target, by embedding and so by inclusion too: 0
     or more, or math.inf.  It is the lineage term of bounds._lineage_term
-    over the target's non-zero tuples, with names as the elements.
+    over the target's non-zero tuples, into each of which any name may grow:
+    under one key, the holdings are the configuration's distinct tuples.
 
     One step changes each tuple its mode picks by the picking variable's
     out - in vector and leaves every other tuple alone, so on place q a name
@@ -307,8 +308,8 @@ def step_bound(net: NuNet, target: Multiset) -> Callable[[Multiset], float]:
     # read on the first call: a search whose initial configuration covers builds no demands
     goals = ((None, [(q, want, gain) for q, (want, gain) in enumerate(zip(goal, gains)) if want], minted)
              for goal, _ in target.counts() if any(goal))
-    # every name may grow into every goal, and holds its tuple's entry on each place
-    return _lineage_term(goals, lambda _, configuration: configuration.counts().mapping, attrgetter("__getitem__"))
+    term = _lineage_term(goals)
+    return lambda configuration: term({None: configuration.counts().mapping})
 
 
 def _dominators(new: list[tuple], goals: list[tuple]) -> dict[tuple, list[int]]:

@@ -24,7 +24,6 @@ be split and merged freely across equally typed outputs.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bounds import _lineage_term, _steps
@@ -387,8 +386,7 @@ class ObjectSystem:
         reach any marking that covers target: 0 or more, or math.inf.
 
         It is the larger of two terms, each 0 on every covering marking and
-        falling by at most 1 per step, so a bounded search may drop a state
-        found at depth g once g plus the bound exceeds its depth.
+        falling by at most 1 per step, as bounds requires of a step bound.
 
         The aggregate term: a covering marking holds at least the target's
         tokens on each system place and, per object net and inner place, at
@@ -399,12 +397,13 @@ class ObjectSystem:
 
         The token term, for each object net of which no event consumes two
         tokens, is the lineage term of bounds._lineage_term over the target's
-        non-empty inner markings, with the net's tokens as the elements.  An
-        event that consumes one token of the net splits what that token holds
-        after theta fired over the tokens of the net it makes, so on inner
-        place q a token gains at most the largest made_q - used_q of such an
-        event (or 0) per step; an event that consumes none makes each token of
-        the net with at most theta's made: the births of the net's goals."""
+        non-empty inner markings, keyed by the net, with the distinct inner
+        markings of the net's tokens as the holdings.  An event that consumes
+        one token of the net splits what that token holds after theta fired
+        over the tokens of the net it makes, so on inner place q a token gains
+        at most the largest made_q - used_q of such an event (or 0) per step;
+        an event that consumes none makes each token of the net with at most
+        theta's made: the births of the net's goals."""
         need: dict[str | tuple[str, str], int] = {}
         demanded: dict[str, dict[str, tuple[str, str]]] = {}  # per object net, inner place -> its coordinate
         for tok, c in target.counts():
@@ -416,7 +415,7 @@ class ObjectSystem:
         gains = dict.fromkeys(need, 0)  # the largest gain of one event on each coordinate, or 0
         merged = set()  # the object nets of which some event consumes two tokens
         inner_gains: dict[str, dict[str, int]] = {}  # per object net and inner place, the largest gain of a token
-        made_of: dict[str, list[NestedToken]] = {}  # per object net, the new tokens of it events make, at their most
+        made_of: dict[str, list[Multiset]] = {}  # per object net, the inner markings of the new tokens events make, at their most
         for _, e, _, _, (inputs, slots, theta) in self._shapes.values():
             step = dict(self.system.post_of(e.transition).counts())
             taken: dict[str, int] = {}  # per object net, the tokens the event consumes
@@ -437,9 +436,9 @@ class ObjectSystem:
             for coordinate, gain in step.items():
                 if coordinate in gains and gain > gains[coordinate]:
                     gains[coordinate] = gain
-            for net_id, places in slots.items():
+            for net_id in slots:
                 if net_id not in taken:
-                    made_of.setdefault(net_id, []).append(NestedToken(places[0], fired.get(net_id, EMPTY)))
+                    made_of.setdefault(net_id, []).append(fired.get(net_id, EMPTY))
 
         # The token term's goals: per distinct non-empty inner marking of a target token of a net that no
         # event merges, its net, its demands on the net's inner places and the net's births.
@@ -448,29 +447,29 @@ class ObjectSystem:
             if goal and net_id not in merged:
                 per_place = inner_gains.get(net_id, {})
                 goals.append((net_id, [(q, k, per_place.get(q, 0)) for q, k in goal.counts()], made_of.get(net_id, ())))
-        typing = self.typing
-
-        def tokens(net_id: str, marking: Multiset) -> Iterator[NestedToken]:
-            return (tok for tok in marking.counts().mapping if typing[tok.place] == net_id)
-
-        term = _lineage_term(goals, tokens, attrgetter("inner.count"))
-        wanted_of = {p: demanded.get(net_id, {}) for p, net_id in typing.items()}
+        term = _lineage_term(goals)
+        nets = dict.fromkeys(net_id for net_id, _, _ in goals)  # in goal order: no set of ids orders a scan
+        # per system place, the inner places the aggregate term counts there, and its net if that has a goal
+        of_place = {p: (demanded.get(net_id, {}), net_id if net_id in nets else None) for p, net_id in self.typing.items()}
         zeros = dict.fromkeys(need, 0)
         aggregate = [(c, k, gains[c]) for c, k in need.items()]  # the aggregate term's demands
 
         def bound(marking: Multiset) -> float:
             have = zeros.copy()  # the marking's count on each coordinate
+            held = {net_id: {} for net_id in nets}  # per object net with a goal, its tokens' distinct inner markings
             for tok, c in marking.counts():
                 place = tok.place
                 if place in have:
                     have[place] += c
-                wanted = wanted_of[place]
+                wanted, net_id = of_place[place]
                 if wanted:
                     for q, k in tok.inner.counts():
                         coordinate = wanted.get(q)
                         if coordinate is not None:
                             have[coordinate] += c * k
-            return term(marking, _steps(aggregate, have.__getitem__))
+                if net_id is not None:
+                    held[net_id][tok.inner] = None
+            return term(held, _steps(aggregate, have))
 
         return bound
 

@@ -9,9 +9,13 @@ would not show that; equality with a formula that keeps nothing does.
 
 import math
 import random
+from pathlib import Path
 
-from nestnets import Multiset, NuNet, bounds, cover_nunet, encode_config, explore_nunet, explore_object_system, nunet, reduce_nunet
+from nestnets import (Multiset, NestedToken, NuNet, bounds, cover_nunet, encode_config, explore_nunet, explore_object_system,
+                      nunet, objectsystem, parse_nunet, reduce_nunet)
 from netgen import random_config, random_marking, random_nupn, random_object_system
+
+DATA = Path(__file__).parent / "data"
 
 
 def steps_to(wants, haves, gains):
@@ -154,13 +158,13 @@ def test_witness_scan_work_on_an_antichain(monkeypatch):
     calls = evaluations = 0
     lineage_term, deficit_steps = nunet._lineage_term, bounds._steps
 
-    def counted_term(goals, grows, holds):
-        term = lineage_term(goals, grows, holds)
+    def counted_term(goals):
+        term = lineage_term(goals)
 
-        def call(state, steps=0):
+        def call(held, steps=0):
             nonlocal calls
             calls += 1
-            return term(state, steps)
+            return term(held, steps)
 
         return call
 
@@ -174,3 +178,50 @@ def test_witness_scan_work_on_an_antichain(monkeypatch):
     assert cover_nunet(net, names, target, 1, max_states=5000) == (False, None, None, 1, False)
     assert calls == n + 1
     assert evaluations <= 4 * n * n, evaluations
+
+
+def counted_deficits(monkeypatch):
+    """The holdings that bounds._steps is called with, the aggregate term's table included, in call order."""
+    seen, deficit_steps = [], bounds._steps
+
+    def counted_steps(demands, have):
+        seen.append(have)
+        return deficit_steps(demands, have)
+
+    monkeypatch.setattr(bounds, "_steps", counted_steps)
+    monkeypatch.setattr(objectsystem, "_steps", counted_steps)
+    return seen
+
+
+def test_a_token_that_changes_place_keeps_its_witness(monkeypatch):
+    # d0's first pick step moves the data token sim {p:1} to t1::selected::x
+    # and leaves its inner marking alone, so the goal sim {q:1} keeps the
+    # witness {p:1}: the call evaluates only the aggregate term.
+    net, init, target = parse_nunet((DATA / "d0.nupn").read_text())
+    system = reduce_nunet(net).system
+    seen = counted_deficits(monkeypatch)
+    h = system.step_bound(encode_config(net, target))
+    initial = encode_config(net, init)
+    assert h(initial) == 1
+    (_, picked), *_ = system.successors(initial, {}, {})
+    assert NestedToken("t1::selected::x", Multiset(["p"])) in picked and NestedToken("sim", Multiset(["p"])) not in picked
+    seen.clear()
+    assert h(picked) == 1
+    assert len(seen) == 1 and isinstance(seen[0], dict), seen
+
+
+def test_a_scan_costs_each_inner_marking_once_whichever_places_hold_it(monkeypatch):
+    # Data tokens { q:1 } on both data places of compiled d0 cost as one token
+    # on one place: a scan evaluates each distinct inner marking of a net once.
+    net, _, _ = parse_nunet((DATA / "d0.nupn").read_text())
+    system = reduce_nunet(net).system
+    black, one_q = NestedToken("selectTran", Multiset()), Multiset(["q"])
+    target = Multiset([black, NestedToken("sim", Multiset(["q", "q"]))])
+    seen = counted_deficits(monkeypatch)
+    evaluations = []
+    for places in (["sim"], ["sim", "t1::selected::x"]):
+        seen.clear()
+        assert system.step_bound(target)(Multiset([black] + [NestedToken(p, one_q) for p in places])) == 1
+        assert seen.count(one_q) == 1, seen
+        evaluations.append(len(seen))
+    assert evaluations[0] == evaluations[1], evaluations

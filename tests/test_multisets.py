@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nestnets import EMPTY, Multiset
@@ -30,6 +30,13 @@ def test_construction_counts(xs):
     for e in set(xs):
         assert ms.count(e) == ref[e]
         assert e in ms
+
+
+@given(multisets, st.one_of(st.sampled_from("abcdef"), st.tuples(st.integers(0, 4), st.integers(0, 4))))
+@example(Multiset("ab"), "z")
+def test_indexing_is_count(ms, x):
+    # a multiset is a holding of the step bounds: ms[x] reads x's count, 0 for an absent x, never KeyError
+    assert ms[x] == ms.count(x) == as_counter(ms)[x]
 
 
 @given(string_multisets, string_multisets)
